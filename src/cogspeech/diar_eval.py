@@ -1,11 +1,17 @@
 """Diarization scoring and the preprocessing grid search.
 
 Metrics: DER with a collar excluded around reference boundaries (md-eval
-convention), JER, cluster purity and coverage. DER components come from
-an exact interval sweep, not frame sampling. The speaker mapping is the
-overlap-maximizing one-to-one partial assignment; among equally good
-assignments the lexicographically smallest (by hyp label, ref label) is
-chosen so results never depend on solver internals.
+convention), JER, cluster purity and coverage. Every metric reads one
+exact interval sweep, not frame sampling: the speaker boundaries of both
+timelines and the collar-zone boundaries are sorted once, and each
+elementary span between them carries its duration and which ref
+speakers, hyp speakers and collar zones are active. Speaker totals and (ref, hyp) overlaps are sums of the
+same span durations, so identical timelines score exactly 0 and 1.
+
+The speaker mapping is the overlap-maximizing one-to-one partial
+assignment. Among equally good assignments (within a 1e-9 s tie margin)
+the lexicographically smallest by (hyp label, ref label) is chosen, at
+every speaker count, so results never depend on solver internals.
 
 The grid search drives an external diarizer through a subprocess adapter
 (command template with {input} and {output} placeholders, RTTM output,
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import shlex
 import subprocess
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -32,20 +39,16 @@ from .errors import AdapterError, ConfigError, ValidationError
 from . import wavio
 
 _TIE_EPS = 1e-9
-_ENUM_LIMIT = 8  # exhaustive assignment up to this many speakers per side
 
 
 @dataclass(frozen=True)
 class ScoringConfig:
     collar_s: float = 0.250
-    frame_s: float = 0.010
     score_overlap: bool = True
 
     def __post_init__(self):
         if self.collar_s < 0:
             raise ConfigError("collar_s must be >= 0")
-        if self.frame_s <= 0:
-            raise ConfigError("frame_s must be > 0")
 
 
 @dataclass(frozen=True)
@@ -61,40 +64,6 @@ class DerBreakdown:
         return self.scored_total_s > 0.0
 
 
-def _speaker_intervals(tl: Timeline) -> dict:
-    """Merged (start, end) lists per speaker."""
-    out = {}
-    for spk in tl.speakers():
-        merged = []
-        for seg in tl.for_speaker(spk):
-            if merged and seg.onset <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], seg.end))
-            else:
-                merged.append((seg.onset, seg.end))
-        out[spk] = merged
-    return out
-
-
-def _interval_total(intervals) -> float:
-    return sum(e - s for s, e in intervals)
-
-
-def _pair_overlap(a, b) -> float:
-    """Total overlap of two merged interval lists."""
-    total = 0.0
-    i = j = 0
-    while i < len(a) and j < len(b):
-        lo = max(a[i][0], b[j][0])
-        hi = min(a[i][1], b[j][1])
-        if hi > lo:
-            total += hi - lo
-        if a[i][1] <= b[j][1]:
-            i += 1
-        else:
-            j += 1
-    return total
-
-
 def _merge(intervals) -> list:
     merged = []
     for s, e in sorted(intervals):
@@ -105,140 +74,124 @@ def _merge(intervals) -> list:
     return merged
 
 
-def _best_assignment(ref_spks, hyp_spks, overlap) -> dict:
-    """hyp -> ref assignment maximizing total overlap.
-
-    Exhaustive for small speaker counts so the tie-break (lexicographic
-    over the pair list) is exact; Hungarian for larger problems, where
-    ties are broken by the solver.
-    """
-    ref_spks = sorted(ref_spks)
-    hyp_spks = sorted(hyp_spks)
-    if not ref_spks or not hyp_spks:
-        return {}
-    if max(len(ref_spks), len(hyp_spks)) <= _ENUM_LIMIT:
-        best_total, best_pairs = -1.0, None
-        k = min(len(ref_spks), len(hyp_spks))
-        if len(hyp_spks) <= len(ref_spks):
-            for refs in itertools.permutations(ref_spks, k):
-                pairs = tuple(sorted(zip(hyp_spks, refs)))
-                total = sum(overlap.get((r, h), 0.0) for h, r in pairs)
-                if total > best_total + _TIE_EPS or (
-                        abs(total - best_total) <= _TIE_EPS
-                        and (best_pairs is None or pairs < best_pairs)):
-                    best_total, best_pairs = total, pairs
-        else:
-            for hyps in itertools.permutations(hyp_spks, k):
-                pairs = tuple(sorted(zip(hyps, ref_spks)))
-                total = sum(overlap.get((r, h), 0.0) for h, r in pairs)
-                if total > best_total + _TIE_EPS or (
-                        abs(total - best_total) <= _TIE_EPS
-                        and (best_pairs is None or pairs < best_pairs)):
-                    best_total, best_pairs = total, pairs
-        chosen = best_pairs
-    else:
-        cost = np.zeros((len(hyp_spks), len(ref_spks)))
-        for i, h in enumerate(hyp_spks):
-            for j, r in enumerate(ref_spks):
-                cost[i, j] = -overlap.get((r, h), 0.0)
-        rows, cols = linear_sum_assignment(cost)
-        chosen = tuple((hyp_spks[i], ref_spks[j]) for i, j in zip(rows, cols))
-    # zero-overlap pairs carry no information; dropping them keeps the
-    # mapping minimal without changing any metric
-    return {h: r for h, r in chosen if overlap.get((r, h), 0.0) > 0.0}
-
-
-def _raw_overlap_matrix(ref: Timeline, hyp: Timeline):
-    ref_iv = _speaker_intervals(ref)
-    hyp_iv = _speaker_intervals(hyp)
-    overlap = {}
-    for r, riv in ref_iv.items():
-        for h, hiv in hyp_iv.items():
-            overlap[(r, h)] = _pair_overlap(riv, hiv)
-    return ref_iv, hyp_iv, overlap
-
-
-def optimal_speaker_mapping(ref: Timeline, hyp: Timeline) -> dict:
-    """One-to-one partial hyp-speaker -> ref-speaker mapping maximizing
-    total (uncollared) overlap duration."""
-    ref_iv, hyp_iv, overlap = _raw_overlap_matrix(ref, hyp)
-    return _best_assignment(ref_iv.keys(), hyp_iv.keys(), overlap)
+def _speaker_intervals(tl: Timeline) -> dict:
+    """Merged (start, end) lists per speaker."""
+    by_speaker = {}
+    for seg in tl:
+        by_speaker.setdefault(seg.speaker, []).append((seg.onset, seg.end))
+    return {spk: _merge(ivs) for spk, ivs in by_speaker.items()}
 
 
 def _collar_zones(ref: Timeline, collar_s: float) -> list:
     if collar_s <= 0:
         return []
-    zones = []
-    for seg in ref:
-        zones.append((seg.onset - collar_s, seg.onset + collar_s))
-        zones.append((seg.end - collar_s, seg.end + collar_s))
-    return _merge(zones)
+    return _merge((b - collar_s, b + collar_s)
+                  for seg in ref for b in (seg.onset, seg.end))
 
 
-def _inside(point: float, merged_intervals) -> bool:
-    for s, e in merged_intervals:
-        if s <= point < e:
-            return True
-        if s > point:
-            break
-    return False
+def _activity(mid: np.ndarray, interval_lists) -> np.ndarray:
+    """(list, span) mask: span midpoint inside [start, end) of a merged
+    interval of that list."""
+    out = np.zeros((len(interval_lists), mid.size), dtype=bool)
+    for k, ivs in enumerate(interval_lists):
+        if ivs:
+            starts, ends = np.array(ivs, dtype=np.float64).T
+            i = np.searchsorted(starts, mid, side="right") - 1
+            out[k] = (i >= 0) & (mid < ends[np.maximum(i, 0)])
+    return out
 
 
-def der(ref: Timeline, hyp: Timeline, cfg: ScoringConfig | None = None
-        ) -> DerBreakdown:
-    """Collar-excluded diarization error rate via an interval sweep.
+class _Sweep:
+    """Elementary spans between all ref, hyp and collar boundaries.
 
-    The speaker mapping is optimized on collar-excluded overlap, which
-    makes the DER value independent of how overlap ties are broken (DER
-    depends on the mapping only through its total).
+    ``ref``/``hyp`` are (speaker, span) activity masks with speakers in
+    sorted label order; ``collar`` marks spans inside a collar zone.
+    Totals and overlaps sum the same span durations (no matmul, whose
+    summation order differs), so a speaker's overlap with an identical
+    speaker equals its total exactly.
     """
-    if cfg is None:
-        cfg = ScoringConfig()
-    ref_iv = _speaker_intervals(ref)
-    hyp_iv = _speaker_intervals(hyp)
-    zones = _collar_zones(ref, cfg.collar_s)
 
-    bounds = set()
-    for ivs in list(ref_iv.values()) + list(hyp_iv.values()):
-        for s, e in ivs:
-            bounds.add(s)
-            bounds.add(e)
-    for s, e in zones:
-        bounds.add(s)
-        bounds.add(e)
-    bounds = sorted(bounds)
+    def __init__(self, ref: Timeline, hyp: Timeline, collar_s: float = 0.0):
+        ref_iv = _speaker_intervals(ref)
+        hyp_iv = _speaker_intervals(hyp)
+        zones = _collar_zones(ref, collar_s)
+        lists = [*ref_iv.values(), *hyp_iv.values(), zones]
+        edges = np.unique(np.array([t for ivs in lists for iv in ivs for t in iv],
+                                   dtype=np.float64))
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        self.dur = np.diff(edges)
+        self.ref_spks = sorted(ref_iv)
+        self.hyp_spks = sorted(hyp_iv)
+        self.ref = _activity(mid, [ref_iv[s] for s in self.ref_spks])
+        self.hyp = _activity(mid, [hyp_iv[s] for s in self.hyp_spks])
+        self.collar = _activity(mid, [zones])[0]
+        self.ref_total = np.array([self.dur[r].sum() for r in self.ref])
+        self.hyp_total = np.array([self.dur[h].sum() for h in self.hyp])
 
-    missed = fa = scored_total = 0.0
-    scored_overlap = {}
-    spans = []  # (duration, active ref speakers, active hyp speakers)
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        d = t1 - t0
-        if d <= 0:
-            continue
-        mid = (t0 + t1) / 2.0
-        if _inside(mid, zones):
-            continue
-        active_r = [r for r, ivs in ref_iv.items() if _inside(mid, ivs)]
-        active_h = [h for h, ivs in hyp_iv.items() if _inside(mid, ivs)]
-        if not cfg.score_overlap and len(active_r) >= 2:
-            continue
-        nr, nh = len(active_r), len(active_h)
-        scored_total += nr * d
-        missed += max(0, nr - nh) * d
-        fa += max(0, nh - nr) * d
-        spans.append((d, active_r, active_h))
-        for r in active_r:
-            for h in active_h:
-                scored_overlap[(r, h)] = scored_overlap.get((r, h), 0.0) + d
+    def overlap(self, keep=None) -> np.ndarray:
+        """(hyp, ref) co-active duration over the kept spans."""
+        hyp = self.hyp if keep is None else self.hyp & keep
+        return np.array([[self.dur[h & r].sum() for r in self.ref]
+                         for h in hyp]).reshape(len(hyp), len(self.ref))
 
-    mapping = _best_assignment(ref_iv.keys(), hyp_iv.keys(), scored_overlap)
-    matched = {(r, h) for h, r in mapping.items()}
-    # per-span confusion (never negative, exactly zero for hyp == ref)
-    confusion = 0.0
-    for d, active_r, active_h in spans:
-        n_match = sum(1 for r in active_r for h in active_h
-                      if (r, h) in matched)
-        confusion += (min(len(active_r), len(active_h)) - n_match) * d
+
+def _best_assignment(overlap: np.ndarray) -> list:
+    """(hyp, ref) index pairs of the overlap-maximizing one-to-one
+    assignment; rows are hyp and columns ref speakers in label order.
+
+    Candidates are the maximal assignments (every speaker on the smaller
+    side is paired). Among those within _TIE_EPS of the best total, the
+    lexicographically smallest sorted pair list wins, at every speaker
+    count: hyps are taken in order, and each fixes the first free ref for
+    which the fixed total plus a Hungarian completion of the remaining
+    rows and columns still reaches the optimum (a hyp with no such ref
+    stays unpaired). Zero-overlap pairs take part in the tie-break and
+    are dropped only from the result; they change no metric.
+    """
+    def best(rows, cols) -> float:
+        sub = overlap[np.ix_(rows, cols)]
+        r, c = linear_sum_assignment(sub, maximize=True)
+        return float(sub[r, c].sum())
+
+    n_hyp, n_ref = overlap.shape
+    target = best(range(n_hyp), range(n_ref)) - _TIE_EPS
+    pairs, fixed, free = [], 0.0, list(range(n_ref))
+    for i in range(n_hyp):
+        rest = range(i + 1, n_hyp)
+        for j in free:
+            others = [c for c in free if c != j]
+            if fixed + overlap[i, j] + best(rest, others) >= target:
+                pairs.append((i, j))
+                fixed += overlap[i, j]
+                free = others
+                break
+    return [(i, j) for i, j in pairs if overlap[i, j] > 0.0]
+
+
+def optimal_speaker_mapping(ref: Timeline, hyp: Timeline) -> dict:
+    """One-to-one partial hyp-speaker -> ref-speaker mapping maximizing
+    total (uncollared) overlap duration."""
+    sw = _Sweep(ref, hyp)
+    return {sw.hyp_spks[i]: sw.ref_spks[j]
+            for i, j in _best_assignment(sw.overlap())}
+
+
+def _der(sw: _Sweep, score_overlap: bool) -> DerBreakdown:
+    n_ref = sw.ref.sum(axis=0)
+    n_hyp = sw.hyp.sum(axis=0)
+    keep = ~sw.collar
+    if not score_overlap:
+        keep &= n_ref < 2
+    pairs = _best_assignment(sw.overlap(keep))
+    hits = np.zeros(sw.dur.size, dtype=np.int64)
+    for i, j in pairs:
+        hits += sw.hyp[i] & sw.ref[j]
+    d, nr, nh, hits = sw.dur[keep], n_ref[keep], n_hyp[keep], hits[keep]
+    scored_total = float((nr * d).sum())
+    missed = float((np.maximum(nr - nh, 0) * d).sum())
+    fa = float((np.maximum(nh - nr, 0) * d).sum())
+    # per-span confusion: never negative, exactly zero for hyp == ref
+    confusion = float(((np.minimum(nr, nh) - hits) * d).sum())
     if scored_total > 0:
         value = (missed + fa + confusion) / scored_total
     else:
@@ -247,52 +200,65 @@ def der(ref: Timeline, hyp: Timeline, cfg: ScoringConfig | None = None
                         scored_total_s=scored_total, der=value)
 
 
+def _jer(sw: _Sweep, overlap: np.ndarray) -> float:
+    if not sw.ref_spks:
+        return float("nan")
+    errors = np.ones(len(sw.ref_spks))  # unmapped reference speakers
+    for i, j in _best_assignment(overlap):
+        union = sw.ref_total[j] + sw.hyp_total[i] - overlap[i, j]
+        errors[j] = 1.0 - overlap[i, j] / union
+    return float(np.mean(errors))
+
+
+def _purity_coverage(sw: _Sweep, overlap: np.ndarray) -> tuple[float, float]:
+    hyp_total = float(sw.hyp_total.sum())
+    ref_total = float(sw.ref_total.sum())
+    purity = (float(overlap.max(axis=1, initial=0.0).sum()) / hyp_total
+              if hyp_total > 0 else float("nan"))
+    coverage = (float(overlap.max(axis=0, initial=0.0).sum()) / ref_total
+                if ref_total > 0 else float("nan"))
+    return purity, coverage
+
+
+def der(ref: Timeline, hyp: Timeline, cfg: ScoringConfig | None = None
+        ) -> DerBreakdown:
+    """Collar-excluded diarization error rate via the interval sweep.
+
+    The speaker mapping is optimized on collar-excluded overlap, which
+    makes the DER value independent of how overlap ties are broken (DER
+    depends on the mapping only through its total).
+    """
+    if cfg is None:
+        cfg = ScoringConfig()
+    return _der(_Sweep(ref, hyp, cfg.collar_s), cfg.score_overlap)
+
+
 def jer(ref: Timeline, hyp: Timeline) -> float:
     """Mean per-reference-speaker Jaccard error under the optimal
     (uncollared) mapping; unmapped reference speakers score 1."""
-    if len(ref) == 0:
-        return float("nan")
-    ref_iv, hyp_iv, overlap = _raw_overlap_matrix(ref, hyp)
-    mapping = _best_assignment(ref_iv.keys(), hyp_iv.keys(), overlap)
-    to_hyp = {r: h for h, r in mapping.items()}
-    errors = []
-    for r, riv in sorted(ref_iv.items()):
-        h = to_hyp.get(r)
-        if h is None:
-            errors.append(1.0)
-            continue
-        inter = overlap[(r, h)]
-        union = _interval_total(riv) + _interval_total(hyp_iv[h]) - inter
-        errors.append(1.0 - inter / union if union > 0 else 1.0)
-    return float(np.mean(errors))
+    sw = _Sweep(ref, hyp)
+    return _jer(sw, sw.overlap())
 
 
 def purity_coverage(ref: Timeline, hyp: Timeline) -> tuple[float, float]:
     """Cluster purity (hyp side) and coverage (ref side), mapping-free."""
-    ref_iv, hyp_iv, overlap = _raw_overlap_matrix(ref, hyp)
-    hyp_total = sum(_interval_total(iv) for iv in hyp_iv.values())
-    ref_total = sum(_interval_total(iv) for iv in ref_iv.values())
-    if hyp_total > 0:
-        purity = sum(max((overlap[(r, h)] for r in ref_iv), default=0.0)
-                     for h in hyp_iv) / hyp_total
-    else:
-        purity = float("nan")
-    if ref_total > 0:
-        coverage = sum(max((overlap[(r, h)] for h in hyp_iv), default=0.0)
-                       for r in ref_iv) / ref_total
-    else:
-        coverage = float("nan")
-    return purity, coverage
+    sw = _Sweep(ref, hyp)
+    return _purity_coverage(sw, sw.overlap())
 
 
 def score_pair(ref: Timeline, hyp: Timeline, cfg: ScoringConfig | None = None
                ) -> dict:
-    """All four metrics plus the DER components, as a flat dict."""
-    breakdown = der(ref, hyp, cfg)
-    p, c = purity_coverage(ref, hyp)
+    """All four metrics plus the DER components, as a flat dict, from one
+    sweep."""
+    if cfg is None:
+        cfg = ScoringConfig()
+    sw = _Sweep(ref, hyp, cfg.collar_s)
+    breakdown = _der(sw, cfg.score_overlap)
+    overlap = sw.overlap()
+    p, c = _purity_coverage(sw, overlap)
     return {
         "der": breakdown.der,
-        "jer": jer(ref, hyp),
+        "jer": _jer(sw, overlap),
         "purity": p,
         "coverage": c,
         "missed_s": breakdown.missed_s,
@@ -374,19 +340,26 @@ class GridSplit:
 class DiarizerAdapter:
     """Subprocess contract: template with {input} and {output} (and
     optionally {session_id} plus bare diarizer parameter names); the
-    command must write RTTM to {output} and exit 0."""
+    command must write RTTM to {output} and exit 0.
+
+    Every substituted value is shell-quoted, so the template must not
+    wrap placeholders in quotes or give them format specs."""
 
     command_template: str
     timeout_s: float = 600.0
 
     def run(self, input_wav: str, output_rttm: str, session_id: str,
             params: dict) -> Timeline:
+        values = dict(params, input=input_wav, output=output_rttm,
+                      session_id=session_id)
         try:
             cmd = self.command_template.format(
-                input=input_wav, output=output_rttm, session_id=session_id,
-                **params)
+                **{k: shlex.quote(str(v)) for k, v in values.items()})
         except KeyError as exc:
             raise AdapterError(f"template placeholder {exc} has no value")
+        except ValueError as exc:
+            raise AdapterError(f"template placeholders take no format spec "
+                               f"(values are shell-quoted strings): {exc}")
         proc = subprocess.run(cmd, shell=True, capture_output=True, text=True,
                               timeout=self.timeout_s)
         if proc.returncode != 0:

@@ -623,6 +623,14 @@ def _simplicity_key(index: int, config: PipelineConfig):
     return (0 if config.pca == "passthrough" else 1, index)
 
 
+def _convergence_warning(where: str, pipe: FittedPipeline) -> str | None:
+    model = pipe.model
+    if isinstance(model, SvmModel) and not model.converged:
+        return (f"{where}: SVM did not converge after {model.iterations} "
+                f"iterations")
+    return None
+
+
 def nested_cv(data: Dataset, target: TargetSpec, grid=None,
               plan: FoldPlan | None = None, seed: int = 0, jobs: int = 1
               ) -> tuple[CvReport, list[FitRecord]]:
@@ -630,9 +638,10 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
 
     Scaler and PCA fits happen inside each inner/outer training set only.
     Inner config-fold pairs that cannot be scored (single-class inner
-    training data) are excluded from that config's mean with a warning.
-    Results are reduced by (fold, config, inner) index, so the report is
-    identical for any jobs value.
+    training data) are excluded from that config's mean with a warning;
+    every SVM fit that stops at max_iter gets a warning too. Results are
+    reduced by (fold, config, inner) index, so the report is identical for
+    any jobs value.
     """
     if grid is None:
         grid = default_grid(target.kind)
@@ -655,7 +664,8 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
 
     def run_unit(fold: int, cfg_idx: int, inner_idx: int):
         """Fit grid[cfg_idx] on (outer-train minus inner fold), score on
-        the inner fold. Returns (metric, FitRecord) or (None, reason)."""
+        the inner fold. Returns (metric or None, warning or None,
+        FitRecord)."""
         val_subjects = frozenset(plan.inner[fold][inner_idx])
         train_subjects = plan.outer_train_subjects(fold) - val_subjects
         tr = data.rows_for(train_subjects)
@@ -663,14 +673,16 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
         record = FitRecord(stage="inner", outer_fold=fold, inner_fold=inner_idx,
                            config_index=cfg_idx, train_subjects=train_subjects,
                            eval_subjects=val_subjects)
+        where = f"fold {fold} config {cfg_idx} inner {inner_idx}"
         if not tr.any() or not va.any():
-            return None, "empty side", record
+            return None, f"{where} skipped: empty side", record
         try:
             pipe = fit_pipeline(data.X[tr], data.y[tr], grid[cfg_idx])
         except ValidationError as exc:
-            return None, str(exc), record
+            return None, f"{where} skipped: {exc}", record
         metrics = _eval_metrics(target.kind, data.y[va], pipe.predict(data.X[va]))
-        return _inner_metric(target.kind, metrics), None, record
+        return (_inner_metric(target.kind, metrics),
+                _convergence_warning(where, pipe), record)
 
     n_outer = len(plan.outer)
     n_inner = len(plan.inner[0])
@@ -683,11 +695,11 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
             outcomes = list(pool.map(lambda u: run_unit(*u), units))
     else:
         outcomes = [run_unit(*u) for u in units]
-    for (f, c, i), (metric, reason, record) in zip(units, outcomes):
+    for (f, c, i), (metric, note, record) in zip(units, outcomes):
         fit_log.append(record)
-        if metric is None:
-            notes.append(f"fold {f} config {c} inner {i} skipped: {reason}")
-        else:
+        if note is not None:
+            notes.append(note)
+        if metric is not None:
             scores[f, c, i] = metric
 
     folds = []
@@ -705,6 +717,9 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
         tr = data.rows_for(train_subjects)
         te = data.rows_for(test_subjects)
         pipe = fit_pipeline(data.X[tr], data.y[tr], grid[best])
+        note = _convergence_warning(f"fold {f} config {best} outer", pipe)
+        if note is not None:
+            notes.append(note)
         fit_log.append(FitRecord(stage="outer", outer_fold=f, inner_fold=None,
                                  config_index=best,
                                  train_subjects=train_subjects,

@@ -1,10 +1,13 @@
 """Diarization metrics against a frame-level oracle, plus the grid search."""
 
+import json
 import math
+import shlex
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from cogspeech.corpus import Segment, Timeline, load_rttm, serialize_rttm
@@ -101,6 +104,21 @@ def test_mapping_is_partial_one_to_one():
     assert len(set(mapping.values())) == 2
 
 
+def test_mapping_ties_at_nine_speakers_follow_lexicographic_rule():
+    """Nine ref speakers take 2 s turns; nine hyp speakers, shifted by 1 s
+    around a ring, each overlap two refs by 1 s, so every cyclic shift
+    ties. The pick must be the oracle's lexicographically smallest one."""
+    ref = tl(*((f"R{k}", 2.0 * k, 2.0) for k in range(9)))
+    names = ["H8", "H0", "H5", "H4", "H2", "H7", "H6", "H1", "H3"]
+    hyp = tl(*((names[k], 2.0 * k + 1, 2.0) for k in range(8)),
+             (names[8], 17.0, 1.0), (names[8], 0.0, 1.0))
+    ref_f = oracles._speaker_frames(as_triples(ref), oracles.FRAME_S)
+    hyp_f = oracles._speaker_frames(as_triples(hyp), oracles.FRAME_S)
+    overlap = {(r, h): len(ref_f[r] & hyp_f[h]) for r in ref_f for h in hyp_f}
+    want = oracles._assign(ref_f.keys(), hyp_f.keys(), overlap)
+    assert optimal_speaker_mapping(ref, hyp) == want
+
+
 def test_der_identity():
     ref = tl(("A", 0, 10), ("B", 3, 4))
     assert der(ref, ref, ScoringConfig(collar_s=0.25)).der == 0.0
@@ -166,8 +184,6 @@ def test_purity_coverage_duality():
 def test_scoring_config_validation():
     with pytest.raises(ConfigError):
         ScoringConfig(collar_s=-0.1)
-    with pytest.raises(ConfigError):
-        ScoringConfig(frame_s=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +221,43 @@ def test_metrics_match_frame_oracle():
                                    collar_s=collar)
         for key in got:
             assert_close(got[key], want[key], f"instance {i} {key}")
+
+
+@st.composite
+def grid_timelines(draw, names):
+    """1-7 speakers, each a forward walk of turns on the 10 ms grid."""
+    segs = []
+    for k in range(draw(st.integers(1, 7))):
+        t = draw(st.integers(0, 100))
+        for _ in range(draw(st.integers(1, 3))):
+            dur = draw(st.integers(1, 150))
+            segs.append(Segment(f"{names}{k}", t / 100, dur / 100))
+            t += dur + draw(st.integers(0, 100))
+    return Timeline.from_segments(segs)
+
+
+@st.composite
+def scoring_cases(draw):
+    ref = draw(grid_timelines("S"))
+    if draw(st.booleans()):
+        spks = list(ref.speakers())
+        perm = dict(zip(spks, draw(st.permutations(spks))))
+        hyp = Timeline.from_segments(
+            [Segment(perm[s.speaker] + "h", s.onset, s.duration) for s in ref])
+    else:
+        hyp = draw(grid_timelines(draw(st.sampled_from(["S", "H"]))))
+    return ref, hyp, draw(st.sampled_from([0.0, 0.25]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(scoring_cases())
+def test_score_pair_matches_frame_oracle_property(case):
+    ref, hyp, collar = case
+    got = score_pair(ref, hyp, ScoringConfig(collar_s=collar))
+    want = oracles.diar_scores(as_triples(ref), as_triples(hyp),
+                               collar_s=collar)
+    for key in got:
+        assert_close(got[key], want[key], key)
 
 
 def test_overlap_exclusion_toggle_matches_oracle():
@@ -266,6 +319,9 @@ def test_adapter_error_paths(tmp_path):
     adapter = DiarizerAdapter("echo {missing} > {output}")
     with pytest.raises(AdapterError, match="placeholder"):
         adapter.run("in.wav", str(tmp_path / "out.rttm"), "s1", {})
+    adapter = DiarizerAdapter("echo {x:.2f} > {output}")
+    with pytest.raises(AdapterError, match="format spec"):
+        adapter.run("in.wav", str(tmp_path / "out.rttm"), "s1", {"x": 1.0})
 
 
 def test_adapter_success_roundtrip(tmp_path):
@@ -275,6 +331,34 @@ def test_adapter_success_roundtrip(tmp_path):
     adapter = DiarizerAdapter("cp " + str(src) + " {output}")
     out = adapter.run("unused.wav", str(tmp_path / "hyp.rttm"), "s1", {})
     assert score_pair(ref, out)["der"] == 0.0
+
+
+ARGV_STUB = '''\
+import json, sys
+_, _, out, session_id, log = sys.argv
+with open(log, "w") as fh:
+    json.dump(sys.argv[1:], fh)
+with open(out, "w") as fh:
+    fh.write("SPEAKER %s 1 0.000 1.000 <NA> <NA> A <NA> <NA>\\n"
+             % session_id.replace(" ", "_"))
+'''
+
+
+def test_adapter_shell_quotes_substituted_values(tmp_path):
+    work = tmp_path / "work dir;1"
+    work.mkdir()
+    stub = tmp_path / "argv_stub.py"
+    stub.write_text(ARGV_STUB)
+    adapter = DiarizerAdapter(f"{shlex.quote(sys.executable)} "
+                              f"{shlex.quote(str(stub))} "
+                              "{input} {output} {session_id} {log}")
+    wav, out, log = (str(work / name) for name in
+                     ("in put;1.wav", "hyp; 1.rttm", "argv.json"))
+    session_id = "s 1;echo x"
+    hyp = adapter.run(wav, out, session_id, {"log": log})
+    assert json.loads((work / "argv.json").read_text()) == [
+        wav, out, session_id, log]
+    assert [s.speaker for s in hyp] == ["A"]
 
 
 # ---------------------------------------------------------------------------

@@ -494,6 +494,26 @@ def test_nested_cv_single_class_inner_fold_warns():
     assert len(report.folds) == 2
 
 
+def test_nested_cv_reports_unconverged_svm_fits(monkeypatch):
+    import cogspeech.model as model_mod
+    real_fit = model_mod.svm_fit
+    monkeypatch.setattr(
+        model_mod, "svm_fit",
+        lambda X, y, C, class_weighting="balanced": real_fit(
+            X, y, C, class_weighting, max_iter=3))
+    data = synth.planted_classification(24, n_features=4, seed=2)
+    grid = [PipelineConfig(estimator="linear_svm", C=1.0)]
+    report, fit_log = nested_cv(data, TargetSpec(3, "mci", "classification"),
+                                grid=grid, seed=0)
+    unconverged = [w for w in report.warnings if "did not converge" in w]
+    assert len(unconverged) == len(fit_log)  # every fit stops at max_iter
+    assert "fold 0 config 0 inner 0: SVM did not converge after 3 " \
+           "iterations" in unconverged
+    assert "fold 0 config 0 outer: SVM did not converge after 3 " \
+           "iterations" in unconverged
+    assert report.to_dict()["warnings"] == list(report.warnings)
+
+
 def test_nested_cv_jobs_do_not_change_report():
     data = synth.planted_regression(40, seed=5)
     target = TargetSpec(3, "cerad_total", "regression")
