@@ -9,6 +9,12 @@ artifact can be reproduced bit for bit.
 
 Exit codes: 0 ok, 2 gate failures, 3 config error, 4 input error,
 5 adapter failure.
+
+The per-session stages (qc, preprocess, streams, features) finish every
+session they can: a session whose input cannot be read or processed is
+recorded in a failures.jsonl next to the outputs (session id, stage,
+message), the other sessions are written as usual, and the run exits
+with the input error code. A clean run writes no failures.jsonl.
 """
 
 from __future__ import annotations
@@ -96,6 +102,18 @@ def _read_signal(path) -> dsp.Signal:
     return dsp.Signal(samples, rate)
 
 
+def _read_record_signal(base: Path, rec: corpus.SessionRecord) -> dsp.Signal:
+    """A manifest session's audio, its header rate checked against the
+    manifest's sample_rate."""
+    path = _resolve(base, rec.audio_path)
+    sig = _read_signal(path)
+    if sig.sample_rate != rec.sample_rate:
+        raise InputError(f"session {rec.session_id}: manifest sample_rate "
+                         f"{rec.sample_rate} Hz, but {path} is "
+                         f"{sig.sample_rate} Hz")
+    return sig
+
+
 def _pmap(fn, items, jobs: int):
     """Order-preserving map, optionally threaded; merge order is the
     input order regardless of completion order."""
@@ -104,6 +122,41 @@ def _pmap(fn, items, jobs: int):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
+
+
+def _map_sessions(fn, items, jobs: int, stage: str, session_id):
+    """_pmap that keeps going past a failed session.
+
+    A session whose input cannot be read or processed (an OSError or a
+    package error other than ConfigError, which concerns every session)
+    becomes a failure record. Returns (results of the sessions that
+    succeeded, failure records), both in input order.
+    """
+    def guarded(item):
+        try:
+            return fn(item), None
+        except ConfigError:
+            raise
+        except (CogspeechError, OSError) as exc:
+            return None, {"session_id": session_id(item), "stage": stage,
+                          "message": str(exc)}
+
+    outcomes = _pmap(guarded, items, jobs)
+    return ([r for r, failure in outcomes if failure is None],
+            [failure for _, failure in outcomes if failure is not None])
+
+
+def _report_failures(outdir, failures) -> bool:
+    """Write failures.jsonl when any session failed; True if one did."""
+    if not failures:
+        return False
+    path = Path(outdir) / "failures.jsonl"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        for failure in failures:
+            fh.write(json.dumps(failure) + "\n")
+    print(f"{len(failures)} session(s) failed; see {path}", file=sys.stderr)
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -116,10 +169,10 @@ def _cmd_qc(args) -> int:
     thresholds = qc.QcThresholds()
 
     def one(rec):
-        sig = _read_signal(_resolve(base, rec.audio_path))
-        return rec, qc.qc_gate(sig, thresholds)
+        return rec, qc.qc_gate(_read_record_signal(base, rec), thresholds)
 
-    results = _pmap(one, manifest.records, args.jobs)
+    results, failures = _map_sessions(one, manifest.records, args.jobs, "qc",
+                                      lambda rec: rec.session_id)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     any_fail = False
@@ -144,6 +197,8 @@ def _cmd_qc(args) -> int:
                             f"{m.activity_ratio:.3f}",
                             "; ".join(report.review_reasons)])
     _write_run_manifest(out.parent, "qc", vars(args), [args.manifest])
+    if _report_failures(out.parent, failures):
+        return EXIT_INPUT
     if any_fail:
         print("gate failures present", file=sys.stderr)
         return EXIT_GATE_FAILURES
@@ -179,13 +234,14 @@ def _cmd_preprocess(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     def one(rec):
-        sig = _read_signal(_resolve(base, rec.audio_path))
-        processed, audit = dsp.preprocess_chain(sig, cfg)
+        processed, audit = dsp.preprocess_chain(_read_record_signal(base, rec),
+                                                cfg)
         wavio.write_wav(outdir / f"{rec.session_id}.wav",
                         processed.samples, processed.sample_rate)
         return rec.session_id, audit
 
-    results = _pmap(one, manifest.records, args.jobs)
+    results, failures = _map_sessions(one, manifest.records, args.jobs,
+                                      "preprocess", lambda rec: rec.session_id)
     with open(outdir / "audit.jsonl", "w") as fh:
         for session_id, audit in results:
             for entry in audit:
@@ -193,7 +249,7 @@ def _cmd_preprocess(args) -> int:
     _write_run_manifest(outdir, "preprocess", vars(args),
                         [args.manifest] + ([args.config] if args.config
                                            and args.config != "default" else []))
-    return EXIT_OK
+    return EXIT_INPUT if _report_failures(outdir, failures) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +308,14 @@ def _cmd_streams(args) -> int:
             raise InputError(f"missing rttm {rttm}")
         return _stream_one(sid, wav, rttm, args.participant, outdir)
 
-    results = _pmap(one, jobs_inputs, args.jobs)
+    results, failures = _map_sessions(one, jobs_inputs, args.jobs, "streams",
+                                      lambda item: item[0])
     with open(outdir / "transitions.jsonl", "w") as fh:
         for lines in results:
             for line in lines:
                 fh.write(json.dumps(line) + "\n")
     _write_run_manifest(outdir, "streams", vars(args), hash_inputs)
-    return EXIT_OK
+    return EXIT_INPUT if _report_failures(outdir, failures) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -287,17 +344,19 @@ def _cmd_features(args) -> int:
         by_tag = {v.set_tag: v for v in trio}
         return rec.session_id, by_tag[args.set]
 
-    results = _pmap(one, manifest.records, args.jobs)
+    results, failures = _map_sessions(one, manifest.records, args.jobs,
+                                      "features", lambda rec: rec.session_id)
     vectors = dict(results)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    features.write_feature_csv(out, vectors, names=list(set_names[args.set]))
+    if vectors:
+        features.write_feature_csv(out, vectors, names=list(set_names[args.set]))
     absent = {sid: list(vec.absent) for sid, vec in vectors.items() if vec.absent}
     if absent:
         with open(out.with_suffix(".absent.json"), "w") as fh:
             json.dump(absent, fh, indent=2, sort_keys=True)
     _write_run_manifest(out.parent, "features", vars(args), [args.manifest])
-    return EXIT_OK
+    return EXIT_INPUT if _report_failures(out.parent, failures) else EXIT_OK
 
 
 def _cmd_embed_import(args) -> int:

@@ -173,9 +173,11 @@ class GateConfig:
 
 
 def _frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    n_frames = 1 + (len(x) - frame_len) // hop
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    """Read-only (n_frames, frame_len) strided view of x, one frame every
+    hop samples; nothing is copied."""
+    if len(x) < frame_len:
+        return np.zeros((0, frame_len))
+    return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
 
 
 def _stft(x: np.ndarray, cfg: GateConfig) -> np.ndarray:

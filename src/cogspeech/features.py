@@ -10,6 +10,16 @@ Functionals are arithmetic mean and coefficient of variation with the
 population-SD convention; F0 statistics live on the semitone scale
 relative to 27.5 Hz; dB-scaled level contours report SD instead of CoV
 so a pure gain shifts the mean by that many dB and nothing else.
+
+The low-level descriptors (F0, jitter/shimmer/HNR, spectral slopes, LPC
+formants) are computed by one batched pass per stream: frames are
+zero-copy strided views of the samples, and every per-frame decision
+(peak picking, pulse-window statistics, the Levinson-Durbin recursion,
+formant selection) runs as array operations over all frames at once.
+Frames go through the FFTs, autocorrelations and companion-matrix
+eigenvalues in blocks of at most ``_BLOCK_FRAMES``, so the transient
+arrays have a fixed size and peak memory does not grow with the length
+of the recording; only the per-frame contours do.
 """
 
 from __future__ import annotations
@@ -31,6 +41,11 @@ SEMITONE_REF_HZ = 27.5
 VOICING_THRESHOLD = 0.45
 ENERGY_FLOOR_DBFS = -60.0
 HNR_MIN_DB, HNR_MAX_DB = -20.0, 40.0
+
+# frames per block of the FFT, autocorrelation and LPC passes (1.28 s at
+# a 10 ms hop); bounds their transient arrays independently of length.
+# Larger blocks were no faster on a 2-core host and need more memory.
+_BLOCK_FRAMES = 128
 
 SET_TAGS = ("EG_PROSODY", "EG_VQUAL", "EG_ALL", "EMBEDDING")
 
@@ -109,31 +124,72 @@ class FeatureVector:
         return np.array(list(self.values.values()), dtype=np.float64)
 
 
+def _blocks(n: int):
+    """Consecutive slices of range(n), at most _BLOCK_FRAMES long."""
+    return (slice(lo, min(lo + _BLOCK_FRAMES, n))
+            for lo in range(0, n, _BLOCK_FRAMES))
+
+
 def _frames_and_rms(x: Signal, win_s: float, hop_s: float):
+    """Zero-copy frame view of the samples and the per-frame level in dB
+    (floored at -120)."""
     win = int(round(win_s * x.sample_rate))
     hop = int(round(hop_s * x.sample_rate))
     if len(x) < win:
         return np.zeros((0, win)), np.zeros(0)
     frames = _frame_signal(x.samples, win, hop)
-    ms = np.mean(np.square(frames), axis=1)
+    ms = np.empty(frames.shape[0])
+    for b in _blocks(len(ms)):
+        ms[b] = np.mean(np.square(frames[b]), axis=1)
     with np.errstate(divide="ignore"):
         db = 10.0 * np.log10(ms)
     return frames, np.maximum(db, -120.0)
 
 
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops) of the runs of True in a boolean array."""
+    edges = np.diff(np.concatenate([[0], mask.astype(np.int8), [0]]))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 def _normalized_acf(frames: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
-    """r[f, tau] = acf / sqrt(leading * trailing energy), per frame."""
+    """r[f, tau - lag_lo] = acf / sqrt(leading * trailing energy) for
+    lag_lo <= tau <= lag_hi, per frame (lag_lo >= 1).
+
+    The FFT length is the smallest power of two >= n + lag_hi + 1, so the
+    circular wrap-around never reaches a lag that is read.
+    """
     n = frames.shape[1]
-    nfft = 1 << int(np.ceil(np.log2(2 * n)))
+    nfft = 1 << (n + lag_hi).bit_length()
     spec = np.fft.rfft(frames, nfft, axis=1)
-    acf = np.fft.irfft(np.abs(spec) ** 2, nfft, axis=1)[:, :n]
+    acf = np.fft.irfft(np.abs(spec) ** 2, nfft, axis=1)
     csum = np.cumsum(np.square(frames), axis=1)
-    total = csum[:, -1]
-    taus = np.arange(lag_lo, lag_hi + 1)
-    e_lead = csum[:, n - 1 - taus]
-    e_trail = total[:, None] - csum[:, taus - 1]
+    e_lead = csum[:, n - 1 - lag_hi:n - lag_lo][:, ::-1]
+    e_trail = csum[:, -1:] - csum[:, lag_lo - 1:lag_hi]
     denom = np.sqrt(np.maximum(e_lead * e_trail, 1e-300))
-    return acf[:, taus] / denom
+    return acf[:, lag_lo:lag_hi + 1] / denom
+
+
+def _pick_f0(r: np.ndarray, candidate: np.ndarray, lag_lo: int, fs: int,
+             fmin: float, fmax: float, voicing_threshold: float):
+    """(f0, voiced) per row of r, whose columns are lags lag_lo - 1 ..
+    lag_hi + 1; only rows flagged in candidate can be voiced."""
+    inner = r[:, 1:-1]  # lags lag_lo..lag_hi
+    peaks = (inner > r[:, :-2]) & (inner >= r[:, 2:])
+    best = np.where(peaks, inner, -np.inf).max(axis=1)
+    voiced = candidate & peaks.any(axis=1) & (best >= voicing_threshold)
+    # halving guard: the smallest lag within 90% of the best peak
+    near = (inner >= 0.9 * best[:, None]) | (best <= 0)[:, None]
+    p = np.argmax(peaks & near, axis=1)
+    rows = np.arange(len(r))
+    # parabolic refinement around the chosen peak
+    a, b, c = r[rows, p], r[rows, p + 1], r[rows, p + 2]
+    denom = a - 2 * b + c
+    with np.errstate(divide="ignore", invalid="ignore"):
+        delta = np.where(np.abs(denom) > 1e-12, 0.5 * (a - c) / denom, 0.0)
+    f0 = fs / ((lag_lo + p) + np.clip(delta, -0.5, 0.5))
+    voiced &= (fmin * 0.9 <= f0) & (f0 <= fmax * 1.1)
+    return np.where(voiced, f0, 0.0), voiced
 
 
 def track_f0(x: Signal, fmin: float = 60.0, fmax: float = 400.0,
@@ -145,7 +201,8 @@ def track_f0(x: Signal, fmin: float = 60.0, fmax: float = 400.0,
     Candidate peaks within 90% of the best are resolved toward the
     smallest lag (halving guard), then refined by parabolic
     interpolation. Frames below the energy floor or peak-clarity
-    threshold are unvoiced.
+    threshold are unvoiced. Peaks are picked on all frames of a block at
+    once; blocks bound the autocorrelation arrays.
     """
     if x.sample_rate < 8000:
         raise ValidationError(f"need fs >= 8 kHz, got {x.sample_rate}")
@@ -154,37 +211,19 @@ def track_f0(x: Signal, fmin: float = 60.0, fmax: float = 400.0,
     nf = frames.shape[0]
     if nf == 0:
         return LldContour("f0", np.zeros(0), np.zeros(0, dtype=bool))
-    frames = frames - frames.mean(axis=1, keepdims=True)
     lag_lo = max(2, int(math.floor(fs / fmax)))
     lag_hi = min(frames.shape[1] - 2, int(math.ceil(fs / fmin)))
     if lag_hi <= lag_lo:
         raise ValidationError(f"window too short for fmin {fmin} Hz")
-    r = _normalized_acf(frames, lag_lo - 1, lag_hi + 1)  # pad for interpolation
-
     values = np.zeros(nf)
     voiced = np.zeros(nf, dtype=bool)
-    for i in range(nf):
-        if frame_db[i] <= energy_floor_dbfs:
-            continue
-        ri = r[i]
-        inner = ri[1:-1]  # lags lag_lo..lag_hi
-        peaks = np.flatnonzero((inner > ri[:-2]) & (inner >= ri[2:]))
-        if peaks.size == 0:
-            continue
-        best = float(inner[peaks].max())
-        if best < voicing_threshold:
-            continue
-        cand = peaks[inner[peaks] >= 0.9 * best] if best > 0 else peaks
-        p = int(cand.min())
-        # parabolic refinement around the chosen peak
-        a, b, c = ri[p], ri[p + 1], ri[p + 2]
-        denom = a - 2 * b + c
-        delta = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
-        lag = (lag_lo + p) + float(np.clip(delta, -0.5, 0.5))
-        f0 = fs / lag
-        if fmin * 0.9 <= f0 <= fmax * 1.1:
-            values[i] = f0
-            voiced[i] = True
+    for b in _blocks(nf):
+        block = frames[b] - frames[b].mean(axis=1, keepdims=True)
+        # pad one lag each side for the interpolation
+        r = _normalized_acf(block, lag_lo - 1, lag_hi + 1)
+        values[b], voiced[b] = _pick_f0(r, frame_db[b] > energy_floor_dbfs,
+                                        lag_lo, fs, fmin, fmax,
+                                        voicing_threshold)
     return LldContour("f0", values, voiced, frame_s=hop_s)
 
 
@@ -194,44 +233,79 @@ def _pulse_marks(samples: np.ndarray, fs: int, f0c: LldContour,
     runs. Returns per-run lists of mark sample indices."""
     hop = int(round(hop_s * fs))
     win = int(round(win_s * fs))
-    mask = f0c.voiced_mask
     runs = []
-    i = 0
-    while i < len(mask):
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j < len(mask) and mask[j]:
-            j += 1
+    for i, j in zip(*_runs(f0c.voiced_mask)):
         run_f0 = f0c.values[i:j]
         run_f0 = run_f0[run_f0 > 0]
-        if run_f0.size:
-            t0 = fs / float(np.median(run_f0))
-            a = i * hop
-            b = min(len(samples), (j - 1) * hop + win)
-            marks = []
-            lo, hi = a, min(b, a + int(1.3 * t0) + 1)
-            while hi - lo >= 2:
-                m = lo + int(np.argmax(samples[lo:hi]))
-                marks.append(m)
-                lo = m + int(0.7 * t0)
-                hi = min(b, m + int(1.3 * t0) + 1)
-            if len(marks) >= 3:
-                m_arr = np.array(marks)
-                # a truncated search window at a run edge can land on a
-                # decaying tail instead of a pulse; drop weak edge marks
-                amps = np.abs(samples[m_arr])
-                med = float(np.median(amps))
-                lo_i, hi_i = 0, len(m_arr)
-                while hi_i > lo_i and amps[hi_i - 1] < 0.3 * med:
-                    hi_i -= 1
-                while hi_i > lo_i and amps[lo_i] < 0.3 * med:
-                    lo_i += 1
-                if hi_i - lo_i >= 3:
-                    runs.append(m_arr[lo_i:hi_i])
-        i = j
+        if not run_f0.size:
+            continue
+        t0 = fs / float(np.median(run_f0))
+        a = int(i) * hop
+        b = min(len(samples), (int(j) - 1) * hop + win)
+        marks = []
+        lo, hi = a, min(b, a + int(1.3 * t0) + 1)
+        while hi - lo >= 2:
+            m = lo + int(np.argmax(samples[lo:hi]))
+            marks.append(m)
+            lo = m + int(0.7 * t0)
+            hi = min(b, m + int(1.3 * t0) + 1)
+        if len(marks) >= 3:
+            m_arr = np.array(marks)
+            # a truncated search window at a run edge can land on a
+            # decaying tail instead of a pulse; drop weak edge marks
+            amps = np.abs(samples[m_arr])
+            med = float(np.median(amps))
+            lo_i, hi_i = 0, len(m_arr)
+            while hi_i > lo_i and amps[hi_i - 1] < 0.3 * med:
+                hi_i -= 1
+            while hi_i > lo_i and amps[lo_i] < 0.3 * med:
+                lo_i += 1
+            if hi_i - lo_i >= 3:
+                runs.append(m_arr[lo_i:hi_i])
     return runs
+
+
+def _pulse_series(samples: np.ndarray, fs: int, f0c: LldContour,
+                  win_s: float, hop_s: float) -> list:
+    """Pulse statistics pooled across voiced runs as time-sorted (t, value)
+    pairs: periods at their midpoints, |period differences| at the inner
+    marks, amplitudes at the marks, |amplitude differences| at all marks
+    but each run's first. A run's search reaches one window past its last
+    voiced frame, so marks of close runs can interleave; hence the sort."""
+    pieces: list = [[], [], [], []]
+    for marks in _pulse_marks(samples, fs, f0c, win_s, hop_s):
+        t = marks / fs
+        periods = np.diff(t)
+        amps = np.abs(samples[marks])
+        for acc, pair in zip(pieces, (((t[:-1] + t[1:]) / 2.0, periods),
+                                      (t[1:-1], np.abs(np.diff(periods))),
+                                      (t, amps),
+                                      (t[1:], np.abs(np.diff(amps))))):
+            acc.append(pair)
+    series = []
+    for acc in pieces:
+        t = np.concatenate([p[0] for p in acc] or [np.zeros(0)])
+        v = np.concatenate([p[1] for p in acc] or [np.zeros(0)])
+        order = np.argsort(t, kind="stable")
+        series.append((t[order], v[order]))
+    return series
+
+
+def _window_sums(series, lo: np.ndarray, hi: np.ndarray):
+    """(count, sum) of the values whose time lies in [lo, hi], per frame.
+
+    Each window is summed on its own: a difference of running totals
+    would cancel away the relative accuracy of near-zero windows (the
+    amplitude differences of a constant pulse train)."""
+    t, v = series
+    i0 = np.searchsorted(t, lo, side="left")
+    i1 = np.searchsorted(t, hi, side="right")
+    count = i1 - i0
+    # reduceat sums v[i0:i1] at the even positions; an empty window
+    # yields v[i0] there, hence the padding and the count mask
+    sums = np.add.reduceat(np.append(v, 0.0),
+                           np.stack([i0, i1], axis=1).ravel())[::2]
+    return count, np.where(count > 0, sums, 0.0)
 
 
 def jitter_shimmer_hnr(x: Signal, f0c: LldContour, win_s: float = F0_WIN_S,
@@ -241,88 +315,58 @@ def jitter_shimmer_hnr(x: Signal, f0c: LldContour, win_s: float = F0_WIN_S,
 
     Jitter and shimmer need pulse marks: within each frame's window the
     mean absolute difference of adjacent periods (amplitudes) over their
-    mean. HNR needs only the frame autocorrelation peak and is defined
-    wherever the frame has energy, voiced or not.
+    mean, with every frame's window located by binary search in the
+    time-sorted pulse series and summed on its own. HNR needs only the
+    frame autocorrelation peak (within +-2 lags of the F0 period on voiced
+    frames, anywhere in the pitch range otherwise) and is defined wherever
+    the frame has energy, voiced or not.
     """
     fs = x.sample_rate
     frames, frame_db = _frames_and_rms(x, win_s, hop_s)
     nf = min(frames.shape[0], len(f0c))
-    if nf == 0 or not np.any(f0c.voiced_mask[:nf]):
+    voiced = f0c.voiced_mask[:nf]
+    if nf == 0 or not np.any(voiced):
         empty = np.zeros(0)
         none = np.zeros(0, dtype=bool)
         return (LldContour("jitter", empty, none),
                 LldContour("shimmer", empty, none),
                 LldContour("hnr_db", empty, none))
-    frames = frames[:nf] - frames[:nf].mean(axis=1, keepdims=True)
-
-    # pulse statistics pooled across runs, tagged with time for windowing
-    per_t, per_val = [], []          # periods: midpoint time, duration
-    dif_t, dif_val = [], []          # period diffs: junction time, |dT|
-    amp_t, amp_val = [], []          # amplitudes at marks
-    adf_t, adf_val = [], []          # amplitude diffs
-    for marks in _pulse_marks(x.samples, fs, f0c, win_s, hop_s):
-        t = marks / fs
-        periods = np.diff(t)
-        per_t.extend((t[:-1] + t[1:]) / 2.0)
-        per_val.extend(periods)
-        dif_t.extend(t[1:-1])
-        dif_val.extend(np.abs(np.diff(periods)))
-        amps = np.abs(x.samples[marks])
-        amp_t.extend(t)
-        amp_val.extend(amps)
-        adf_t.extend(t[1:])
-        adf_val.extend(np.abs(np.diff(amps)))
-    per_t, per_val = np.array(per_t), np.array(per_val)
-    dif_t, dif_val = np.array(dif_t), np.array(dif_val)
-    amp_t, amp_val = np.array(amp_t), np.array(amp_val)
-    adf_t, adf_val = np.array(adf_t), np.array(adf_val)
 
     hop = int(round(hop_s * fs))
     win = int(round(win_s * fs))
     centers = (np.arange(nf) * hop + win / 2.0) / fs
-    half = stat_win_s / 2.0
-
-    jit = np.zeros(nf)
-    shim = np.zeros(nf)
-    jit_mask = np.zeros(nf, dtype=bool)
-    shim_mask = np.zeros(nf, dtype=bool)
-    for i in range(nf):
-        if not f0c.voiced_mask[i]:
-            continue
-        lo, hi = centers[i] - half, centers[i] + half
-        psel = (per_t >= lo) & (per_t <= hi)
-        dsel = (dif_t >= lo) & (dif_t <= hi)
-        if psel.sum() >= 3 and dsel.sum() >= 2:
-            jit[i] = float(np.mean(dif_val[dsel]) / np.mean(per_val[psel]))
-            jit_mask[i] = True
-        asel = (amp_t >= lo) & (amp_t <= hi)
-        adsel = (adf_t >= lo) & (adf_t <= hi)
-        if asel.sum() >= 3 and adsel.sum() >= 2 and np.mean(amp_val[asel]) > 0:
-            shim[i] = float(np.mean(adf_val[adsel]) / np.mean(amp_val[asel]))
-            shim_mask[i] = True
+    lo, hi = centers - stat_win_s / 2.0, centers + stat_win_s / 2.0
+    (n_per, s_per), (n_dif, s_dif), (n_amp, s_amp), (n_adf, s_adf) = (
+        _window_sums(s, lo, hi)
+        for s in _pulse_series(x.samples, fs, f0c, win_s, hop_s))
+    jit_mask = voiced & (n_per >= 3) & (n_dif >= 2)
+    shim_mask = voiced & (n_amp >= 3) & (n_adf >= 2) & (s_amp > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jit = np.where(jit_mask, (s_dif / n_dif) / (s_per / n_per), 0.0)
+        shim = np.where(shim_mask, (s_adf / n_adf) / (s_amp / n_amp), 0.0)
 
     # HNR from the best normalized-autocorrelation peak in the pitch range
     lag_lo = max(2, int(math.floor(fs / 400.0)))
     lag_hi = min(win - 2, int(math.ceil(fs / 60.0)))
-    r = _normalized_acf(frames, lag_lo, lag_hi)
-    hnr = np.full(nf, HNR_MIN_DB)
+    f0 = f0c.values[:nf]
+    has_f0 = voiced & (f0 > 0)
+    lag = np.where(has_f0, np.round(fs / np.where(has_f0, f0, 1.0)),
+                   0).astype(np.int64)
+    first = np.maximum(0, lag - 2 - lag_lo)
+    stop = np.minimum(lag_hi - lag_lo + 1, lag + 3 - lag_lo)
+    near_f0 = has_f0 & (stop > first)
+    cols = np.arange(lag_hi - lag_lo + 1)
+    peak = np.empty(nf)
+    for b in _blocks(nf):
+        block = frames[b] - frames[b].mean(axis=1, keepdims=True)
+        r = _normalized_acf(block, lag_lo, lag_hi)
+        in_window = ((cols >= first[b, None]) & (cols < stop[b, None])
+                     | ~near_f0[b, None])
+        peak[b] = np.where(in_window, r, -np.inf).max(axis=1)
+    peak = np.clip(peak, 1e-12, 1.0 - 1e-12)
     hnr_mask = frame_db[:nf] > ENERGY_FLOOR_DBFS
-    for i in range(nf):
-        if not hnr_mask[i]:
-            continue
-        if f0c.voiced_mask[i] and f0c.values[i] > 0:
-            lag = int(round(fs / f0c.values[i]))
-            a = max(0, lag - 2 - lag_lo)
-            b = min(r.shape[1], lag + 3 - lag_lo)
-            peak = float(r[i, a:b].max()) if b > a else float(r[i].max())
-        else:
-            peak = float(r[i].max())
-        peak = min(max(peak, 1e-12), 1.0 - 1e-12)
-        if peak <= 0:
-            hnr[i] = HNR_MIN_DB
-        else:
-            hnr[i] = float(np.clip(10.0 * math.log10(peak / (1.0 - peak)),
-                                   HNR_MIN_DB, HNR_MAX_DB))
+    hnr = np.where(hnr_mask, np.clip(10.0 * np.log10(peak / (1.0 - peak)),
+                                     HNR_MIN_DB, HNR_MAX_DB), HNR_MIN_DB)
     return (LldContour("jitter", jit, jit_mask, frame_s=hop_s),
             LldContour("shimmer", shim, shim_mask, frame_s=hop_s),
             LldContour("hnr_db", hnr, hnr_mask, frame_s=hop_s))
@@ -333,20 +377,13 @@ def spectral_slopes(x: Signal, f0c: LldContour,
                     frame_s: float = FRAME_S, hop_s: float = HOP_S
                     ) -> list[LldContour]:
     """Per-frame regression slope of the dB spectrum vs frequency (kHz)
-    within each band, as separate voiced and unvoiced contours."""
+    within each band, as separate voiced and unvoiced contours. Spectra
+    are taken one block of frames at a time."""
     fs = x.sample_rate
     frames, frame_db = _frames_and_rms(x, frame_s, hop_s)
-    nf = frames.shape[0]
-    win = frames.shape[1] if nf else int(round(frame_s * fs))
+    nf, win = frames.shape
     freqs = np.fft.rfftfreq(win, 1.0 / fs)
-    windowed = frames * np.hanning(win) if nf else frames
-    spec_db = 20.0 * np.log10(np.abs(np.fft.rfft(windowed, axis=1)) + 1e-12)
-
-    out = []
-    n_align = min(nf, len(f0c)) if len(f0c) else nf
-    voiced = np.zeros(nf, dtype=bool)
-    voiced[:n_align] = f0c.voiced_mask[:n_align] if len(f0c) else False
-    energetic = frame_db > ENERGY_FLOOR_DBFS
+    fits = []
     for lo, hi in bands:
         sel = (freqs > lo) & (freqs <= hi)
         if sel.sum() < 2:
@@ -354,35 +391,72 @@ def spectral_slopes(x: Signal, f0c: LldContour,
                                   f"{int(sel.sum())} bins at fs={fs}; need >= 2")
         f_khz = freqs[sel] / 1000.0
         fc = f_khz - f_khz.mean()
-        denom = float(np.sum(fc * fc))
-        y = spec_db[:, sel] if nf else np.zeros((0, sel.sum()))
-        slopes = (y - y.mean(axis=1, keepdims=True)) @ fc / denom if nf \
-            else np.zeros(0)
+        fits.append((sel, fc, float(np.sum(fc * fc))))
+    slopes = np.zeros((len(bands), nf))
+    window = np.hanning(win)
+    for b in _blocks(nf):
+        spec_db = 20.0 * np.log10(np.abs(np.fft.rfft(frames[b] * window, axis=1))
+                                  + 1e-12)
+        for k, (sel, fc, denom) in enumerate(fits):
+            y = spec_db[:, sel]
+            slopes[k, b] = (y - y.mean(axis=1, keepdims=True)) @ fc / denom
+
+    n_align = min(nf, len(f0c))
+    voiced = np.zeros(nf, dtype=bool)
+    voiced[:n_align] = f0c.voiced_mask[:n_align]
+    energetic = frame_db > ENERGY_FLOOR_DBFS
+    out = []
+    for (lo, hi), band_slopes in zip(bands, slopes):
         tag = f"{int(lo)}_{int(hi)}"
-        out.append(LldContour(f"slope_v_{tag}", slopes, energetic & voiced,
+        out.append(LldContour(f"slope_v_{tag}", band_slopes, energetic & voiced,
                               frame_s=hop_s))
-        out.append(LldContour(f"slope_uv_{tag}", slopes, energetic & ~voiced,
+        out.append(LldContour(f"slope_uv_{tag}", band_slopes, energetic & ~voiced,
                               frame_s=hop_s))
     return out
 
 
-def _levinson(rxx: np.ndarray, order: int):
-    """Levinson-Durbin; None when the fit is unstable or degenerate."""
-    a = np.zeros(order + 1)
-    a[0] = 1.0
-    err = rxx[0]
-    if err <= 0:
-        return None
+def _row_dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Dot product of each row of u with the same row of v; the same BLAS
+    dot that np.dot and np.correlate use for one unit-stride pair."""
+    return (u[:, None, :] @ v[:, :, None])[:, 0, 0]
+
+
+def _lpc(w: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin on the autocorrelation of every row of w at once.
+
+    Returns (a, ok): a[:, 0] = 1 and ok is False for rows whose fit is
+    unstable or degenerate (zero energy, a non-finite or |k| >= 1
+    reflection coefficient, a non-positive prediction error); their
+    coefficients are meaningless.
+    """
+    n = w.shape[1]
+    rxx = np.stack([_row_dots(w[:, :n - k], w[:, k:])
+                    for k in range(order + 1)], axis=1)
+    rev = rxx[:, ::-1].copy()  # rev[:, order - i + 1:order] = rxx[:, i-1:0:-1]
+    a = np.zeros((len(w), order + 1))
+    a[:, 0] = 1.0
+    err = rxx[:, 0].copy()
+    ok = err > 0
     for i in range(1, order + 1):
-        acc = rxx[i] + np.dot(a[1:i], rxx[i - 1:0:-1])
-        k = -acc / err
-        if not np.isfinite(k) or abs(k) >= 1.0:
-            return None
-        a[1:i + 1] = a[1:i + 1] + k * a[i - 1::-1][:i]
+        acc = rxx[:, i] + _row_dots(a[:, 1:i], rev[:, order - i + 1:order])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = -acc / err
+        ok &= np.isfinite(k) & (np.abs(k) < 1.0)
+        k[~ok] = 0.0  # failed rows stay finite and are dropped
+        a[:, 1:i + 1] = a[:, 1:i + 1] + k[:, None] * a[:, i - 1::-1][:, :i]
         err *= (1.0 - k * k)
-        if err <= 0:
-            return None
-    return a
+        ok &= err > 0
+    return a, ok
+
+
+def _poles(a: np.ndarray) -> np.ndarray:
+    """Roots of each row polynomial: the eigenvalues of the companion
+    matrix np.roots builds, for all rows in one stacked eigvals call."""
+    order = a.shape[1] - 1
+    companion = np.zeros((len(a), order, order))
+    companion[:, 1:, :-1] = np.eye(order - 1)
+    companion[:, 0, :] = -a[:, 1:] / a[:, :1]
+    return np.linalg.eigvals(companion)
 
 
 F1_RANGE_HZ = (200.0, 1000.0)
@@ -390,11 +464,45 @@ F2_RANGE_HZ = (800.0, 2800.0)
 MAX_FORMANT_BW_HZ = 400.0
 
 
+def _pick_formants(roots: np.ndarray, fs: int):
+    """((f1, bw1, has_f1), (f2, bw2, has_f2)) per row of LPC roots.
+
+    Candidates are the poles above the real axis and inside the unit
+    circle whose bandwidth is at most MAX_FORMANT_BW_HZ (broad poles model
+    source spectrum shape, not resonances). F1 is the lowest candidate in
+    its range; F2 the lowest in its range above F1's frequency, or in its
+    range at all when there is no F1. (A candidate in the F2 range below
+    F1 would lie in the F1 range and so be F1 itself.)
+    """
+    keep = (roots.imag > 1e-8) & (np.abs(roots) < 1.0)
+    with np.errstate(divide="ignore"):
+        freqs = np.where(keep, np.angle(roots) * fs / (2.0 * np.pi), np.inf)
+        bws = -(fs / np.pi) * np.log(np.abs(roots))
+    by_freq = np.argsort(freqs, axis=1)
+    freqs = np.take_along_axis(freqs, by_freq, axis=1)
+    bws = np.take_along_axis(bws, by_freq, axis=1)
+    cand = np.take_along_axis(keep, by_freq, axis=1) & (bws <= MAX_FORMANT_BW_HZ)
+    rows = np.arange(len(roots))
+    in_f1 = cand & (F1_RANGE_HZ[0] <= freqs) & (freqs <= F1_RANGE_HZ[1])
+    has_f1 = in_f1.any(axis=1)
+    p1 = np.argmax(in_f1, axis=1)
+    f1 = np.where(has_f1, freqs[rows, p1], -np.inf)
+    in_f2 = (cand & (F2_RANGE_HZ[0] <= freqs) & (freqs <= F2_RANGE_HZ[1])
+             & (freqs > f1[:, None]))
+    p2 = np.argmax(in_f2, axis=1)
+    return ((freqs[rows, p1], bws[rows, p1], has_f1),
+            (freqs[rows, p2], bws[rows, p2], in_f2.any(axis=1)))
+
+
 def formant_bandwidths(x: Signal, f0c: LldContour, order: int | None = None,
                        frame_s: float = FRAME_S, hop_s: float = HOP_S
                        ) -> list[LldContour]:
     """F1/F2 center frequencies and bandwidths from LPC pole angles on
-    voiced frames. Unstable frames are skipped (mask False)."""
+    voiced frames. Unstable frames are skipped (mask False).
+
+    Voiced frames are fitted a block at a time: a batched Levinson-Durbin
+    recursion, then one stacked companion-matrix eigenvalue call.
+    """
     if x.sample_rate < 8000:
         raise ValidationError(f"need fs >= 8 kHz, got {x.sample_rate}")
     fs = x.sample_rate
@@ -402,46 +510,21 @@ def formant_bandwidths(x: Signal, f0c: LldContour, order: int | None = None,
         order = fs // 1000 + 2
     frames, _ = _frames_and_rms(x, frame_s, hop_s)
     nf = min(frames.shape[0], len(f0c))
-    window = np.hamming(frames.shape[1]) if nf else None
+    window = np.hamming(frames.shape[1])
+    voiced = np.flatnonzero(f0c.voiced_mask[:nf])
 
+    values = np.zeros((4, nf))  # f1_hz, f1_bw_hz, f2_hz, f2_bw_hz
+    masks = np.zeros((4, nf), dtype=bool)
+    for b in _blocks(len(voiced)):
+        a, ok = _lpc(frames[voiced[b]] * window, order)
+        idx = voiced[b][ok]
+        for k, (f, bw, has) in enumerate(_pick_formants(_poles(a[ok]), fs)):
+            values[2 * k, idx[has]] = f[has]
+            values[2 * k + 1, idx[has]] = bw[has]
+            masks[2 * k:2 * k + 2, idx[has]] = True
     names = ("f1_hz", "f1_bw_hz", "f2_hz", "f2_bw_hz")
-    values = {n: np.zeros(nf) for n in names}
-    masks = {n: np.zeros(nf, dtype=bool) for n in names}
-    for i in range(nf):
-        if not f0c.voiced_mask[i]:
-            continue
-        w = frames[i] * window
-        full = np.correlate(w, w, mode="full")
-        rxx = full[len(w) - 1:len(w) + order]
-        a = _levinson(rxx, order)
-        if a is None:
-            continue
-        roots = np.roots(a)
-        roots = roots[(roots.imag > 1e-8) & (np.abs(roots) < 1.0)]
-        if roots.size == 0:
-            continue
-        freqs = np.angle(roots) * fs / (2.0 * np.pi)
-        bws = -(fs / np.pi) * np.log(np.abs(roots))
-        idx = np.argsort(freqs)
-        freqs, bws = freqs[idx], bws[idx]
-        f1 = f2 = None
-        for f, bw in zip(freqs, bws):
-            # broad poles model source spectrum shape, not resonances
-            if bw > MAX_FORMANT_BW_HZ:
-                continue
-            if f1 is None and F1_RANGE_HZ[0] <= f <= F1_RANGE_HZ[1]:
-                f1 = (f, bw)
-                continue
-            if f2 is None and F2_RANGE_HZ[0] <= f <= F2_RANGE_HZ[1]:
-                if f1 is None or f > f1[0]:
-                    f2 = (f, bw)
-        if f1 is not None:
-            values["f1_hz"][i], values["f1_bw_hz"][i] = f1
-            masks["f1_hz"][i] = masks["f1_bw_hz"][i] = True
-        if f2 is not None:
-            values["f2_hz"][i], values["f2_bw_hz"][i] = f2
-            masks["f2_hz"][i] = masks["f2_bw_hz"][i] = True
-    return [LldContour(n, values[n], masks[n], frame_s=hop_s) for n in names]
+    return [LldContour(n, v, m, frame_s=hop_s)
+            for n, v, m in zip(names, values, masks)]
 
 
 def _population_sd(v: np.ndarray) -> float:
@@ -487,31 +570,22 @@ def apply_functionals(contours, set_tag: str = "EG_ALL") -> FeatureVector:
     return FeatureVector(set_tag=set_tag, values=values, absent=tuple(absent))
 
 
-def _pause_stats(x: Signal, frame_s: float = FRAME_S, hop_s: float = HOP_S,
+def _pause_stats(frame_db: np.ndarray, duration_s: float,
+                 frame_s: float = FRAME_S, hop_s: float = HOP_S,
                  floor_dbfs: float = ENERGY_FLOOR_DBFS,
                  min_pause_s: float = 0.2) -> dict:
-    """Silence-run statistics over the (temporally intact) stream."""
-    _, frame_db = _frames_and_rms(x, frame_s, hop_s)
-    silent = frame_db <= floor_dbfs
-    durations = []
-    i = 0
-    while i < len(silent):
-        if not silent[i]:
-            i += 1
-            continue
-        j = i
-        while j < len(silent) and silent[j]:
-            j += 1
-        dur = (j - i) * hop_s + (frame_s - hop_s)
-        if dur >= min_pause_s:
-            durations.append(dur)
-        i = j
-    total = x.duration_s
+    """Silence-run statistics over the (temporally intact) stream, from
+    its frame levels."""
+    starts, stops = _runs(frame_db <= floor_dbfs)
+    durations = (stops - starts) * hop_s + (frame_s - hop_s)
+    durations = durations[durations >= min_pause_s]
+    found = durations.size > 0
     return {
-        "egx.pause.count": float(len(durations)),
-        "egx.pause.mean_s": float(np.mean(durations)) if durations else 0.0,
-        "egx.pause.max_s": float(max(durations)) if durations else 0.0,
-        "egx.pause.total_ratio": float(sum(durations) / total) if total > 0 else 0.0,
+        "egx.pause.count": float(durations.size),
+        "egx.pause.mean_s": float(np.mean(durations)) if found else 0.0,
+        "egx.pause.max_s": float(np.max(durations)) if found else 0.0,
+        "egx.pause.total_ratio": (float(np.sum(durations) / duration_s)
+                                  if duration_s > 0 else 0.0),
     }
 
 
@@ -547,7 +621,7 @@ def extract_feature_sets(prosody: Signal | None, concat: Signal | None
         prosody_vals.update(fv.values)
         prosody_absent.extend(fv.absent)
         prosody_vals.update(_voicing_stats(f0p))
-        prosody_vals.update(_pause_stats(prosody))
+        prosody_vals.update(_pause_stats(frame_db, prosody.duration_s))
         ordered = {n: prosody_vals[n] for n in EG_PROSODY_NAMES
                    if n in prosody_vals}
         prosody_vals = ordered

@@ -2,8 +2,10 @@
 
 Everything here is deliberately written the dumb way: frame-by-frame
 counting for diarization scores, explicit normal equations for ridge,
-covariance eigendecomposition for PCA. Slow and obvious beats fast and
-clever for an oracle.
+covariance eigendecomposition for PCA, and one frame at a time for the
+acoustic descriptors (direct autocorrelation, a full scan of the pulses
+per frame, a scalar Levinson-Durbin fit and np.roots per frame). Slow and
+obvious beats fast and clever for an oracle.
 """
 
 import itertools
@@ -203,3 +205,222 @@ def mean_and_cov(values):
     sd = math.sqrt(np.sum((values - mean) ** 2) / values.size)
     cov = sd / abs(mean) if abs(mean) >= 1e-8 else sd
     return float(mean), float(cov)
+
+
+# ---------------------------------------------------------------------------
+# Acoustic descriptor oracles: one frame at a time, lags by direct
+# correlation, one LPC fit and one np.roots call per frame.
+
+def _frames(samples, win, hop):
+    return [samples[s:s + win] for s in range(0, len(samples) - win + 1, hop)]
+
+
+def _frame_db(frame):
+    ms = float(np.mean(np.square(frame)))
+    return max(10.0 * math.log10(ms), -120.0) if ms > 0 else -120.0
+
+
+def _normalized_acf(frame, lag_lo, lag_hi):
+    """r[tau - lag_lo] = sum x[t] x[t + tau] / sqrt(lead * trail energy),
+    the sums taken by direct correlation of the frame with itself."""
+    n = len(frame)
+    taus = np.arange(lag_lo, lag_hi + 1)
+    acf = np.correlate(frame, frame, mode="full")[n - 1 + taus]
+    energy = np.cumsum(np.square(frame))
+    lead = energy[n - 1 - taus]
+    trail = energy[-1] - energy[taus - 1]
+    return acf / np.sqrt(np.maximum(lead * trail, 1e-300))
+
+
+def f0_track(samples, fs, fmin=60.0, fmax=400.0, win_s=0.040, hop_s=0.010,
+             voicing_threshold=0.45, energy_floor_dbfs=-60.0):
+    """(values, voiced) per frame; the per-frame peak pick of track_f0."""
+    win, hop = int(round(win_s * fs)), int(round(hop_s * fs))
+    frames = _frames(samples, win, hop)
+    lag_lo = max(2, int(math.floor(fs / fmax)))
+    lag_hi = min(win - 2, int(math.ceil(fs / fmin)))
+    values = np.zeros(len(frames))
+    voiced = np.zeros(len(frames), dtype=bool)
+    for i, frame in enumerate(frames):
+        if _frame_db(frame) <= energy_floor_dbfs:
+            continue
+        ri = _normalized_acf(frame - frame.mean(), lag_lo - 1, lag_hi + 1)
+        inner = ri[1:-1]  # lags lag_lo..lag_hi
+        peaks = np.flatnonzero((inner > ri[:-2]) & (inner >= ri[2:]))
+        if peaks.size == 0:
+            continue
+        best = float(inner[peaks].max())
+        if best < voicing_threshold:
+            continue
+        cand = peaks[inner[peaks] >= 0.9 * best] if best > 0 else peaks
+        p = int(cand.min())
+        a, b, c = ri[p], ri[p + 1], ri[p + 2]
+        denom = a - 2 * b + c
+        delta = 0.5 * (a - c) / denom if abs(denom) > 1e-12 else 0.0
+        f0 = fs / ((lag_lo + p) + float(np.clip(delta, -0.5, 0.5)))
+        if fmin * 0.9 <= f0 <= fmax * 1.1:
+            values[i] = f0
+            voiced[i] = True
+    return values, voiced
+
+
+def pulse_marks(samples, fs, f0_values, voiced, win_s=0.040, hop_s=0.010):
+    """Per-run arrays of pulse mark indices, runs found by walking the mask."""
+    hop, win = int(round(hop_s * fs)), int(round(win_s * fs))
+    runs = []
+    i = 0
+    while i < len(voiced):
+        if not voiced[i]:
+            i += 1
+            continue
+        j = i
+        while j < len(voiced) and voiced[j]:
+            j += 1
+        run_f0 = f0_values[i:j]
+        run_f0 = run_f0[run_f0 > 0]
+        if run_f0.size:
+            t0 = fs / float(np.median(run_f0))
+            a, b = i * hop, min(len(samples), (j - 1) * hop + win)
+            marks = []
+            lo, hi = a, min(b, a + int(1.3 * t0) + 1)
+            while hi - lo >= 2:
+                m = lo + int(np.argmax(samples[lo:hi]))
+                marks.append(m)
+                lo = m + int(0.7 * t0)
+                hi = min(b, m + int(1.3 * t0) + 1)
+            if len(marks) >= 3:
+                m_arr = np.array(marks)
+                amps = np.abs(samples[m_arr])
+                med = float(np.median(amps))
+                lo_i, hi_i = 0, len(m_arr)
+                while hi_i > lo_i and amps[hi_i - 1] < 0.3 * med:
+                    hi_i -= 1
+                while hi_i > lo_i and amps[lo_i] < 0.3 * med:
+                    lo_i += 1
+                if hi_i - lo_i >= 3:
+                    runs.append(m_arr[lo_i:hi_i])
+        i = j
+    return runs
+
+
+def jitter_shimmer_hnr(samples, fs, f0_values, voiced, win_s=0.040,
+                       hop_s=0.010, stat_win_s=0.060, energy_floor_dbfs=-60.0,
+                       hnr_range=(-20.0, 40.0)):
+    """{"jitter", "shimmer", "hnr_db"} -> (values, mask): every frame
+    scans all pulses for its window, then searches its own HNR lag."""
+    hop, win = int(round(hop_s * fs)), int(round(win_s * fs))
+    frames = _frames(samples, win, hop)
+    nf = min(len(frames), len(voiced))
+    per_t, per_val, dif_t, dif_val = [], [], [], []
+    amp_t, amp_val, adf_t, adf_val = [], [], [], []
+    for marks in pulse_marks(samples, fs, f0_values, voiced, win_s, hop_s):
+        t = marks / fs
+        periods = np.diff(t)
+        amps = np.abs(samples[marks])
+        per_t.extend((t[:-1] + t[1:]) / 2.0)
+        per_val.extend(periods)
+        dif_t.extend(t[1:-1])
+        dif_val.extend(np.abs(np.diff(periods)))
+        amp_t.extend(t)
+        amp_val.extend(amps)
+        adf_t.extend(t[1:])
+        adf_val.extend(np.abs(np.diff(amps)))
+    per_t, per_val = np.array(per_t), np.array(per_val)
+    dif_t, dif_val = np.array(dif_t), np.array(dif_val)
+    amp_t, amp_val = np.array(amp_t), np.array(amp_val)
+    adf_t, adf_val = np.array(adf_t), np.array(adf_val)
+
+    out = {name: (np.zeros(nf), np.zeros(nf, dtype=bool))
+           for name in ("jitter", "shimmer", "hnr_db")}
+    out["hnr_db"][0][:] = hnr_range[0]
+    lag_lo = max(2, int(math.floor(fs / 400.0)))
+    lag_hi = min(win - 2, int(math.ceil(fs / 60.0)))
+    for i in range(nf):
+        center = (i * hop + win / 2.0) / fs
+        lo, hi = center - stat_win_s / 2.0, center + stat_win_s / 2.0
+        if voiced[i]:
+            psel = (per_t >= lo) & (per_t <= hi)
+            dsel = (dif_t >= lo) & (dif_t <= hi)
+            if psel.sum() >= 3 and dsel.sum() >= 2:
+                out["jitter"][0][i] = np.mean(dif_val[dsel]) / np.mean(per_val[psel])
+                out["jitter"][1][i] = True
+            asel = (amp_t >= lo) & (amp_t <= hi)
+            adsel = (adf_t >= lo) & (adf_t <= hi)
+            if asel.sum() >= 3 and adsel.sum() >= 2 and np.mean(amp_val[asel]) > 0:
+                out["shimmer"][0][i] = np.mean(adf_val[adsel]) / np.mean(amp_val[asel])
+                out["shimmer"][1][i] = True
+        if _frame_db(frames[i]) <= energy_floor_dbfs:
+            continue
+        r = _normalized_acf(frames[i] - frames[i].mean(), lag_lo, lag_hi)
+        if voiced[i] and f0_values[i] > 0:
+            lag = int(round(fs / f0_values[i]))
+            a, b = max(0, lag - 2 - lag_lo), min(len(r), lag + 3 - lag_lo)
+            peak = float(r[a:b].max()) if b > a else float(r.max())
+        else:
+            peak = float(r.max())
+        peak = min(max(peak, 1e-12), 1.0 - 1e-12)
+        out["hnr_db"][0][i] = min(max(10.0 * math.log10(peak / (1.0 - peak)),
+                                      hnr_range[0]), hnr_range[1])
+        out["hnr_db"][1][i] = True
+    return out
+
+
+def levinson(rxx, order):
+    """Scalar Levinson-Durbin; None when the fit is unstable or degenerate."""
+    a = np.zeros(order + 1)
+    a[0] = 1.0
+    err = rxx[0]
+    if err <= 0:
+        return None
+    for i in range(1, order + 1):
+        acc = rxx[i] + np.dot(a[1:i], rxx[i - 1:0:-1])
+        k = -acc / err
+        if not np.isfinite(k) or abs(k) >= 1.0:
+            return None
+        a[1:i + 1] = a[1:i + 1] + k * a[i - 1::-1][:i]
+        err *= (1.0 - k * k)
+        if err <= 0:
+            return None
+    return a
+
+
+def formants(samples, fs, voiced, order=None, frame_s=0.025, hop_s=0.010,
+             f1_range=(200.0, 1000.0), f2_range=(800.0, 2800.0),
+             max_bw=400.0):
+    """{"f1_hz", "f1_bw_hz", "f2_hz", "f2_bw_hz"} -> (values, mask): one
+    LPC fit and np.roots per voiced frame, poles walked in frequency order."""
+    order = fs // 1000 + 2 if order is None else order
+    win, hop = int(round(frame_s * fs)), int(round(hop_s * fs))
+    frames = _frames(samples, win, hop)
+    nf = min(len(frames), len(voiced))
+    window = np.hamming(win)
+    out = {name: (np.zeros(nf), np.zeros(nf, dtype=bool))
+           for name in ("f1_hz", "f1_bw_hz", "f2_hz", "f2_bw_hz")}
+    for i in range(nf):
+        if not voiced[i]:
+            continue
+        w = frames[i] * window
+        rxx = np.correlate(w, w, mode="full")[win - 1:win + order]
+        a = levinson(rxx, order)
+        if a is None:
+            continue
+        roots = np.roots(a)
+        roots = roots[(roots.imag > 1e-8) & (np.abs(roots) < 1.0)]
+        freqs = np.angle(roots) * fs / (2.0 * np.pi)
+        bws = -(fs / np.pi) * np.log(np.abs(roots))
+        f1 = f2 = None
+        for f, bw in sorted(zip(freqs, bws)):
+            if bw > max_bw:
+                continue
+            if f1 is None and f1_range[0] <= f <= f1_range[1]:
+                f1 = (f, bw)
+                continue
+            if f2 is None and f2_range[0] <= f <= f2_range[1]:
+                if f1 is None or f > f1[0]:
+                    f2 = (f, bw)
+        for tag, found in (("f1", f1), ("f2", f2)):
+            if found is not None:
+                for name, v in zip((f"{tag}_hz", f"{tag}_bw_hz"), found):
+                    out[name][0][i] = v
+                    out[name][1][i] = True
+    return out

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -112,6 +113,86 @@ def test_qc_short_recording_exits_gate_code(corpus, tmp_path):
     line = json.loads((tmp_path / "qc.jsonl").read_text().splitlines()[0])
     assert line["overall"] == "fail"
     assert line["flags"]["duration"] is False  # the gate that tripped
+
+
+# ---------------------------------------------------------------------------
+# fail-soft batches and cross-checked inputs
+
+@pytest.fixture(scope="module")
+def small_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("small")
+    return synth.build_corpus(root, n_subjects=6, seed=1, n_holdout=1)
+
+
+def session_ids(corpus):
+    return sorted(info["session_id"] for info in corpus["truth"].values())
+
+
+def read_failures(outdir: Path) -> list:
+    return [json.loads(l) for l in
+            (outdir / "failures.jsonl").read_text().splitlines()]
+
+
+def test_corrupt_wav_fails_its_session_not_the_batch(small_corpus, tmp_path):
+    sids = session_ids(small_corpus)
+    bad = sids[2]
+    corrupt = tmp_path / "corpus"
+    shutil.copytree(small_corpus["root"], corrupt)
+    (corrupt / "audio" / f"{bad}.wav").write_bytes(b"not a wav file" * 100)
+    manifest = str(corrupt / "manifest.csv")
+    good = [s for s in sids if s != bad]
+
+    assert main(["qc", "--manifest", manifest,
+                 "--out", str(tmp_path / "qc" / "qc.jsonl")]) == 4
+    lines = [json.loads(l) for l in
+             (tmp_path / "qc" / "qc.jsonl").read_text().splitlines()]
+    assert [l["session_id"] for l in lines] == good
+    [failure] = read_failures(tmp_path / "qc")
+    assert failure["session_id"] == bad and failure["stage"] == "qc"
+    assert "cannot decode" in failure["message"]
+
+    pre, streams = tmp_path / "pre", tmp_path / "streams"
+    assert main(["preprocess", "--manifest", manifest,
+                 "--outdir", str(pre), "--jobs", "2"]) == 4
+    assert sorted(p.stem for p in pre.glob("*.wav")) == good
+    assert [f["session_id"] for f in read_failures(pre)] == [bad]
+
+    # downstream stages record the missing session the same way
+    assert main(["streams", "--manifest", manifest, "--wav-dir", str(pre),
+                 "--rttm-dir", str(corrupt / "rttm"),
+                 "--outdir", str(streams)]) == 4
+    assert [(f["session_id"], f["stage"]) for f in read_failures(streams)] \
+        == [(bad, "streams")]
+    out = tmp_path / "feat" / "features.csv"
+    assert main(["features", "--manifest", manifest, "--prosody-dir",
+                 str(streams), "--concat-dir", str(streams),
+                 "--out", str(out), "--jobs", "2"]) == 4
+    assert sorted(read_feature_csv(out)[1]) == good
+    assert [f["session_id"] for f in read_failures(out.parent)] == [bad]
+
+
+def test_clean_batch_writes_no_failures_file(small_corpus, tmp_path):
+    assert main(["qc", "--manifest", str(small_corpus["manifest"]),
+                 "--out", str(tmp_path / "qc.jsonl")]) == 0
+    assert not (tmp_path / "failures.jsonl").exists()
+
+
+def test_manifest_sample_rate_checked_against_wav(small_corpus, tmp_path):
+    sids = session_ids(small_corpus)
+    text = small_corpus["manifest"].read_text()
+    rows = text.splitlines()
+    at = next(i for i, line in enumerate(rows) if line.startswith(sids[0]))
+    rows[at] = rows[at].replace(",16000,", ",22050,")
+    manifest = small_corpus["root"] / "rate_mismatch.csv"
+    manifest.write_text("\n".join(rows) + "\n")
+    for argv, outdir in (
+            (["qc", "--out", str(tmp_path / "qc" / "qc.jsonl")], tmp_path / "qc"),
+            (["preprocess", "--outdir", str(tmp_path / "pre")], tmp_path / "pre")):
+        assert main(argv + ["--manifest", str(manifest)]) == 4
+        [failure] = read_failures(outdir)
+        assert failure["session_id"] == sids[0]
+        assert "22050" in failure["message"] and "16000" in failure["message"]
+    assert sorted(p.stem for p in (tmp_path / "pre").glob("*.wav")) == sids[1:]
 
 
 # ---------------------------------------------------------------------------
