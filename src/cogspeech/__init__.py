@@ -9,6 +9,7 @@ diar_eval  diarization metrics (DER, JER, purity, coverage) and grid search
 streams    prosody-preserved and concatenated stream construction
 features   hand-crafted acoustic feature sets and embedding ingestion
 model      nested cross-validation harness, estimators, metrics
+parallel   the order-preserving thread map behind every jobs option
 cli        command-line entry points
 """
 

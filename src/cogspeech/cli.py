@@ -15,6 +15,11 @@ session they can: a session whose input cannot be read or processed is
 recorded in a failures.jsonl next to the outputs (session id, stage,
 message), the other sessions are written as usual, and the run exits
 with the input error code. A clean run writes no failures.jsonl.
+
+qc, cv and holdout print each label-hierarchy issue of the manifest
+(corpus.validate_hierarchy) to stderr as a warning. cv writes the log of
+its executed fits, the record the leakage check reads, to fit_log.jsonl
+next to its report: one sorted-key JSON line per fit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,7 @@ import numpy as np
 from . import __version__, corpus, diar_eval, dsp, features, model, qc, streams, wavio
 from .errors import (AdapterError, CogspeechError, ConfigError, InputError,
                      ParseError, ValidationError)
+from .parallel import pmap
 
 EXIT_OK = 0
 EXIT_GATE_FAILURES = 2
@@ -114,18 +119,8 @@ def _read_record_signal(base: Path, rec: corpus.SessionRecord) -> dsp.Signal:
     return sig
 
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map, optionally threaded; merge order is the
-    input order regardless of completion order."""
-    items = list(items)
-    if jobs > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _map_sessions(fn, items, jobs: int, stage: str, session_id):
-    """_pmap that keeps going past a failed session.
+    """pmap that keeps going past a failed session.
 
     A session whose input cannot be read or processed (an OSError or a
     package error other than ConfigError, which concerns every session)
@@ -141,9 +136,17 @@ def _map_sessions(fn, items, jobs: int, stage: str, session_id):
             return None, {"session_id": session_id(item), "stage": stage,
                           "message": str(exc)}
 
-    outcomes = _pmap(guarded, items, jobs)
+    outcomes = pmap(guarded, items, jobs)
     return ([r for r, failure in outcomes if failure is None],
             [failure for _, failure in outcomes if failure is not None])
+
+
+def _warn_hierarchy(manifest: corpus.Manifest) -> None:
+    """Print each label-hierarchy issue of the manifest as a warning."""
+    for issue in corpus.validate_hierarchy(manifest):
+        where = issue.session_id or issue.subject_id
+        print(f"warning: {where}: {issue.code}: {issue.message}",
+              file=sys.stderr)
 
 
 def _report_failures(outdir, failures) -> bool:
@@ -165,6 +168,7 @@ def _report_failures(outdir, failures) -> bool:
 
 def _cmd_qc(args) -> int:
     manifest = corpus.load_manifest(args.manifest)
+    _warn_hierarchy(manifest)
     base = Path(args.manifest).parent
     thresholds = qc.QcThresholds()
 
@@ -491,6 +495,7 @@ def _load_grid_file(path, kind: str):
 def _cmd_cv(args) -> int:
     target = _target_from_args(args)
     manifest = corpus.load_manifest(args.manifest)
+    _warn_hierarchy(manifest)
     names, rows = features.read_feature_csv(args.features)
     data = _build_dataset(manifest, names, rows, target, args.split)
     grid = _load_grid_file(args.grid, target.kind)
@@ -507,6 +512,9 @@ def _cmd_cv(args) -> int:
     with open(out, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    with open(out.parent / "fit_log.jsonl", "w") as fh:
+        for record in fit_log:
+            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
     _write_run_manifest(out.parent, "cv", vars(args),
                         [args.manifest, args.features]
                         + ([args.grid] if args.grid else []))
@@ -520,6 +528,7 @@ def _cmd_cv(args) -> int:
 def _cmd_holdout(args) -> int:
     target = _target_from_args(args)
     manifest = corpus.load_manifest(args.manifest)
+    _warn_hierarchy(manifest)
     names, rows = features.read_feature_csv(args.features)
     dev = _build_dataset(manifest, names, rows, target, "development")
     holdout = _build_dataset(manifest, names, rows, target, "holdout")

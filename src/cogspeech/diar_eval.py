@@ -26,7 +26,6 @@ import itertools
 import shlex
 import subprocess
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -36,6 +35,7 @@ from scipy.optimize import linear_sum_assignment
 from .corpus import Timeline, load_rttm
 from .dsp import PreprocessConfig, Signal, preprocess_chain
 from .errors import AdapterError, ConfigError, ValidationError
+from .parallel import pmap
 from . import wavio
 
 _TIE_EPS = 1e-9
@@ -488,11 +488,7 @@ def run_grid_search(schema: dict, sessions, adapter: DiarizerAdapter,
             return GridResult(point=point, status="ok",
                               tuning=_aggregate(scores))
 
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(work, points))
-        else:
-            results = [work(p) for p in points]
+        results = pmap(work, points, jobs)
 
         ok = [r for r in results if r.status == "ok"]
         failed = [r for r in results if r.status == "failed"]

@@ -6,10 +6,11 @@ sets it was evaluated on, so leakage is something the test suite can
 prove about executed fits rather than trust from the fold plan.
 
 Estimators are deliberately small and closed over: ridge by its normal
-equations, the linear SVM by sequential minimal optimization on the
-dual. Inner-loop selection uses R^2 for regression and balanced
-accuracy for classification; Pearson r is always recorded as the
-headline regression metric.
+equations, the linear SVM by a primal-dual interior-point method on the
+dual, which reaches the optimum to a relative tolerance in about ten
+dense Newton steps. Inner-loop selection uses R^2 for regression
+and balanced accuracy for classification; Pearson r is always recorded
+as the headline regression metric.
 """
 
 from __future__ import annotations
@@ -17,14 +18,15 @@ from __future__ import annotations
 import math
 import warnings
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sstats
+from scipy import special
+from scipy.linalg import lapack
 
 from .corpus import LabelHierarchy
 from .errors import ConfigError, ValidationError
+from .parallel import pmap
 
 # ---------------------------------------------------------------------------
 # Preprocessing
@@ -164,13 +166,33 @@ class SvmModel:
     converged: bool
 
 
-def svm_fit(X, y, C: float, class_weighting: str = "balanced",
-            tol: float = 1e-6, max_iter: int | None = None) -> SvmModel:
-    """Linear soft-margin SVM via SMO on the dual.
+def _max_step(v, dv) -> float:
+    """Largest step that keeps every v + step * dv >= 0 (inf if any
+    step does)."""
+    neg = dv < 0.0
+    return float(np.min(v[neg] / -dv[neg])) if neg.any() else math.inf
 
-    Working pair by maximal KKT violation; per-sample box caps C_i carry
-    the class weights (n / (2 * n_class) under "balanced"). Stops when
-    the violation gap falls below tol.
+
+def svm_fit(X, y, C: float, class_weighting: str = "balanced",
+            tol: float = 1e-11, max_iter: int = 100) -> SvmModel:
+    """Linear soft-margin SVM by a primal-dual interior-point method on
+    the dual (Mehrotra predictor-corrector; Ferris & Munson 2002).
+
+    The dual is min 1/2 a'Qa - 1'a with Q = (y y') * (X X'), subject to
+    y'a = 0 and 0 <= a_i <= C_i; the per-sample caps C_i carry the class
+    weights (n / (2 * n_class) under "balanced"). Each Newton step
+    factors one (n+1) x (n+1) KKT system, Q + diag(z/a + s/(C-a))
+    bordered by y, and solves it for the predictor and the corrector.
+    Converged means the duality gap is within tol of 1 + |objective|,
+    |y'a| within tol of 1 + max C_i, and the stationarity residual within
+    tol of 1 + max_i sum_j |Q_ij| a_j; after max_iter Newton steps the
+    current iterate comes back with converged=False. `iterations` counts
+    Newton steps.
+
+    The bias is the mean of -y * gradient over the free support vectors,
+    or the midpoint of the feasible interval when none is free. a_i is
+    at its lower bound when a_i / C_i < z_i (its bound multiplier), and
+    at C_i when (C_i - a_i) / C_i < s_i.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -191,50 +213,78 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
         scale = np.ones(n)
     cap = C * scale
 
-    K = X @ X.T
-    alpha = np.zeros(n)
-    G = -np.ones(n)  # gradient of the dual objective
-    if max_iter is None:
-        max_iter = max(20000, 200 * n)
+    Yx = X * y[:, None]
+    Q = Yx @ Yx.T
+    # the dual residual is judged against the size of the terms in Q @ a
+    Q_abs = np.abs(Q)
+    # interior start; z and s make the start dual feasible
+    alpha = cap / 2.0
+    slack = cap - alpha  # updated on its own, so it stays > 0 near a = C
+    nu = 0.0
+    grad = Q @ alpha - 1.0
+    z = np.maximum(grad, 0.0) + 1.0  # multipliers of a >= 0
+    s = np.maximum(-grad, 0.0) + 1.0  # multipliers of a <= C
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, n] = kkt[n, :n] = y
+    diag = np.arange(n)
+    rhs = np.zeros(n + 1)
 
     it = 0
-    converged = False
-    while it < max_iter:
+    while True:
+        grad = Q @ alpha - 1.0
+        r_dual = grad + nu * y - z + s
+        r_eq = float(y @ alpha)
+        gap = float(alpha @ z + slack @ s)
+        objective = 0.5 * float(alpha @ (grad - 1.0))
+        converged = (gap <= tol * (1.0 + abs(objective))
+                     and abs(r_eq) <= tol * (1.0 + cap.max())
+                     and np.abs(r_dual).max()
+                     <= tol * (1.0 + (Q_abs @ alpha).max()))
+        if converged or it >= max_iter:
+            break
         it += 1
-        yG = -y * G
-        up = ((y > 0) & (alpha < cap - 1e-14)) | ((y < 0) & (alpha > 1e-14))
-        low = ((y < 0) & (alpha < cap - 1e-14)) | ((y > 0) & (alpha > 1e-14))
-        if not up.any() or not low.any():
-            converged = True
-            break
-        i = int(np.flatnonzero(up)[np.argmax(yG[up])])
-        j = int(np.flatnonzero(low)[np.argmin(yG[low])])
-        m, M = yG[i], yG[j]
-        if m - M <= tol:
-            converged = True
-            break
-        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
-        if quad <= 1e-12:
-            quad = 1e-12
-        t = (m - M) / quad
-        bound_i = cap[i] - alpha[i] if y[i] > 0 else alpha[i]
-        bound_j = alpha[j] if y[j] > 0 else cap[j] - alpha[j]
-        t = min(t, bound_i, bound_j)
-        if t <= 0:
-            converged = True
-            break
-        alpha[i] += y[i] * t
-        alpha[j] -= y[j] * t
-        G += t * y * (K[:, i] - K[:, j])
+        kkt[:n, :n] = Q
+        kkt[diag, diag] += z / alpha + s / slack
+        lu, piv, _ = lapack.dgetrf(kkt)
+
+        def newton(r_z, r_s):
+            # step with a*dz + z*da = r_z and slack*ds - s*da = r_s
+            rhs[:n] = r_z / alpha - r_s / slack - r_dual
+            rhs[n] = -r_eq
+            sol = lapack.dgetrs(lu, piv, rhs)[0]
+            da = sol[:n]
+            dz = (r_z - z * da) / alpha
+            ds = (r_s + s * da) / slack
+            step = _max_step(np.concatenate((alpha, slack, z, s)),
+                             np.concatenate((da, -da, dz, ds)))
+            return da, sol[n], dz, ds, step
+
+        da, _, dz, ds, step = newton(-alpha * z, -slack * s)  # predictor
+        step = min(1.0, step)
+        mu = gap / (2 * n)
+        mu_aff = float((alpha + step * da) @ (z + step * dz)
+                       + (slack - step * da) @ (s + step * ds)) / (2 * n)
+        target = (mu_aff / mu) ** 3 * mu
+        da, dnu, dz, ds, step = newton(target - alpha * z - da * dz,
+                                       target - slack * s + da * ds)
+        step = min(1.0, 0.995 * step)  # stay inside the box
+        alpha = alpha + step * da
+        slack = slack - step * da
+        nu += step * dnu
+        z = z + step * dz
+        s = s + step * ds
 
     w = X.T @ (alpha * y)
-    free = (alpha > 1e-10) & (alpha < cap - 1e-10)
+    grad = Q @ alpha - 1.0
+    lower = alpha < cap * z
+    upper = slack < cap * s
+    free = ~(lower | upper)
     if free.any():
-        b = float(np.mean(-y[free] * G[free]))
+        b = float(np.mean(-y[free] * grad[free]))
     else:
-        yG = -y * G
-        up = ((y > 0) & (alpha < cap - 1e-14)) | ((y < 0) & (alpha > 1e-14))
-        low = ((y < 0) & (alpha < cap - 1e-14)) | ((y > 0) & (alpha > 1e-14))
+        yG = -y * grad
+        up = np.where(y > 0, ~upper, ~lower)
+        low = np.where(y > 0, ~lower, ~upper)
         hi = yG[up].max() if up.any() else 0.0
         lo = yG[low].min() if low.any() else 0.0
         b = float((hi + lo) / 2.0)
@@ -304,7 +354,7 @@ def welch_t(a, b) -> tuple[float, float]:
         return 0.0, 1.0  # identical constants
     t = float((a.mean() - b.mean()) / math.sqrt(se2))
     df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    p = float(2.0 * sstats.t.sf(abs(t), df))
+    p = float(2.0 * special.stdtr(df, -abs(t)))
     return t, p
 
 
@@ -322,7 +372,7 @@ def chi_square_2x2(counts) -> tuple[float, float]:
     if np.any(expected == 0.0):
         raise ValidationError("zero expected count")
     stat = float(np.sum((table - expected) ** 2 / expected))
-    p = float(sstats.chi2.sf(stat, df=1))
+    p = float(special.chdtrc(1, stat))
     return stat, p
 
 
@@ -568,6 +618,13 @@ class FitRecord:
     train_subjects: frozenset
     eval_subjects: frozenset
 
+    def to_dict(self) -> dict:
+        return {"stage": self.stage, "outer_fold": self.outer_fold,
+                "inner_fold": self.inner_fold,
+                "config_index": self.config_index,
+                "train_subjects": sorted(self.train_subjects),
+                "eval_subjects": sorted(self.eval_subjects)}
+
 
 @dataclass(frozen=True)
 class FoldOutcome:
@@ -662,14 +719,23 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
     fit_log: list[FitRecord] = []
     notes: list[str] = []
 
+    n_outer = len(plan.outer)
+    n_inner = len(plan.inner[0])
+    # the configs fitted on one (fold, inner) split share its subject sets
+    # and row masks, so the fit log holds one copy per split
+    splits = {}
+    for f in range(n_outer):
+        outer_train = plan.outer_train_subjects(f)
+        for i in range(n_inner):
+            val = frozenset(plan.inner[f][i])
+            train = outer_train - val
+            splits[f, i] = (train, val, data.rows_for(train), data.rows_for(val))
+
     def run_unit(fold: int, cfg_idx: int, inner_idx: int):
         """Fit grid[cfg_idx] on (outer-train minus inner fold), score on
         the inner fold. Returns (metric or None, warning or None,
         FitRecord)."""
-        val_subjects = frozenset(plan.inner[fold][inner_idx])
-        train_subjects = plan.outer_train_subjects(fold) - val_subjects
-        tr = data.rows_for(train_subjects)
-        va = data.rows_for(val_subjects)
+        train_subjects, val_subjects, tr, va = splits[fold, inner_idx]
         record = FitRecord(stage="inner", outer_fold=fold, inner_fold=inner_idx,
                            config_index=cfg_idx, train_subjects=train_subjects,
                            eval_subjects=val_subjects)
@@ -684,17 +750,11 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
         return (_inner_metric(target.kind, metrics),
                 _convergence_warning(where, pipe), record)
 
-    n_outer = len(plan.outer)
-    n_inner = len(plan.inner[0])
     units = [(f, c, i) for f in range(n_outer)
              for c in range(len(grid)) for i in range(n_inner)]
     scores = np.full((n_outer, len(grid), n_inner), np.nan)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(lambda u: run_unit(*u), units))
-    else:
-        outcomes = [run_unit(*u) for u in units]
+    outcomes = pmap(lambda u: run_unit(*u), units, jobs)
     for (f, c, i), (metric, note, record) in zip(units, outcomes):
         fit_log.append(record)
         if note is not None:

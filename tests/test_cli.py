@@ -412,6 +412,55 @@ def test_cv_custom_grid_file(corpus, feature_csv, tmp_path):
     assert payload["majority_vote_config"] == "ridge(lam=1.0), pca=passthrough"
 
 
+def test_cv_fit_log_replays_across_jobs(corpus, feature_csv, tmp_path):
+    logs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}" / "cv.json"
+        code = main(["cv", "--features", str(feature_csv),
+                     "--manifest", str(corpus["manifest"]),
+                     "--level", "3", "--target", "cerad_total",
+                     "--kind", "regression", "--seed", "0",
+                     "--jobs", jobs, "--out", str(out)])
+        assert code == 0
+        logs.append((out.parent / "fit_log.jsonl").read_bytes())
+    assert logs[0] == logs[1]
+    lines = logs[0].decode().splitlines()
+    assert len(lines) == 230  # 5 outer x 3 inner x 15 ridge configs + 5 refits
+    for line in lines:
+        rec = json.loads(line)
+        assert line == json.dumps(rec, sort_keys=True)
+        assert rec["train_subjects"] == sorted(rec["train_subjects"])
+        assert rec["eval_subjects"] == sorted(rec["eval_subjects"])
+        assert not set(rec["train_subjects"]) & set(rec["eval_subjects"])
+    assert [json.loads(l)["stage"] for l in lines[-5:]] == ["outer"] * 5
+
+
+def test_qc_warns_on_broken_label_hierarchy(corpus, tmp_path, capsys):
+    assert main(["qc", "--manifest", str(corpus["manifest"]),
+                 "--out", str(tmp_path / "clean" / "qc.jsonl")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    text = corpus["manifest"].read_text().splitlines()
+    header_at = 1 if text[0].startswith("#") else 0
+    reader = csv.DictReader(text[header_at:])
+    rows = list(reader)
+    rows[0]["cerad_binary"] = str(1 - int(rows[0]["cerad_binary"]))
+    for row in rows:  # the copy lives elsewhere; keep the audio reachable
+        row["audio_path"] = str(corpus["manifest"].parent / row["audio_path"])
+    broken = tmp_path / "m.csv"
+    with open(broken, "w", newline="") as fh:
+        fh.writelines(line + "\n" for line in text[:header_at])
+        writer = csv.DictWriter(fh, fieldnames=reader.fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+    code = main(["qc", "--manifest", str(broken),
+                 "--out", str(tmp_path / "qc.jsonl")])
+    assert code == 0  # a warning, not a gate failure
+    err = capsys.readouterr().err
+    assert (f"warning: {rows[0]['session_id']}: binary_threshold_mismatch"
+            in err)
+    assert err.count("warning") == 1
+
+
 def test_holdout_uses_voted_config(corpus, feature_csv, cv_json, tmp_path):
     out = tmp_path / "ho.json"
     code = main(["holdout", "--features", str(feature_csv),

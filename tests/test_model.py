@@ -2,10 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
 import warnings as _warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats as sstats
 from scipy.sparse.linalg import lsqr
 
@@ -242,6 +245,59 @@ def test_svm_input_validation():
         svm_fit(X, y, C=1.0, class_weighting="sqrt")
 
 
+@st.composite
+def svm_problem(draw):
+    """A noisy linear rule on n x d data, both weightings, the grid's C
+    values, and held-out points to compare predictions on."""
+    n = draw(st.integers(8, 60))
+    d = draw(st.integers(1, 40))
+    C = draw(st.sampled_from([0.01, 0.1, 1.0, 10.0]))
+    weighting = draw(st.sampled_from(["balanced", "none"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    X = rng.standard_normal((n, d)) * rng.uniform(0.2, 3.0)
+    score = X @ rng.standard_normal(d)
+    noise = rng.uniform(0.1, 3.0) * score.std() + 1e-9
+    y = np.where(score + rng.normal(0.0, noise, n) > 0, 1.0, -1.0)
+    if len(np.unique(y)) < 2:
+        y[0] = -y[0]
+    return X, y, C, weighting, 2.0 * rng.standard_normal((50, d))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(svm_problem())
+def test_svm_fit_matches_smo_oracle(problem):
+    X, y, C, weighting, held_out = problem
+    w_ref, b_ref, _, ref_converged = oracles.smo_svm(X, y, C, weighting,
+                                                     tol=1e-9)
+    assume(ref_converged)
+    model = svm_fit(X, y, C, weighting)
+    assert model.converged
+    # relative to the weight norm; norms below 0.01 count as 0.01
+    gap = float(np.linalg.norm(model.weights - w_ref))
+    assert gap <= 1e-4 * max(float(np.linalg.norm(w_ref)), 1e-2)
+    ref_pred = np.where(held_out @ w_ref + b_ref >= 0.0, 1.0, -1.0)
+    np.testing.assert_array_equal(svm_predict(model, held_out), ref_pred)
+
+
+def test_no_svm_fit_stops_at_its_cap_on_permuted_labels(monkeypatch):
+    import cogspeech.model as model_mod
+    real_fit = model_mod.svm_fit
+    fits = []
+
+    def recording_fit(*args, **kwargs):
+        fits.append(real_fit(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(model_mod, "svm_fit", recording_fit)
+    data = synth.planted_classification(100, n_features=12, seed=3,
+                                        permuted=True)
+    report, _ = nested_cv(data, TargetSpec(3, "mci", "classification"),
+                          seed=1)
+    assert len(fits) == 5 * 3 * 24 + 5
+    assert [f.iterations for f in fits if not f.converged] == []
+    assert not any("did not converge" in w for w in report.warnings)
+
+
 # ---------------------------------------------------------------------------
 # Metrics
 
@@ -330,6 +386,14 @@ def test_welch_matches_permutation_oracle():
         if abs(perm[:25].mean() - perm[25:].mean()) >= observed - 1e-12:
             hits += 1
     assert p == pytest.approx(hits / n_perm, abs=0.02)
+
+
+def test_model_import_leaves_scipy_stats_unloaded():
+    code = ("import sys; import cogspeech.model; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_welch_needs_two_per_sample():
