@@ -30,7 +30,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .corpus import Timeline, load_rttm
 from .dsp import PreprocessConfig, Signal, preprocess_chain
@@ -148,6 +147,9 @@ def _best_assignment(overlap: np.ndarray) -> list:
     stays unpaired). Zero-overlap pairs take part in the tie-break and
     are dropped only from the result; they change no metric.
     """
+    # imported here: scipy.optimize costs about 0.5 s of start-up
+    from scipy.optimize import linear_sum_assignment
+
     def best(rows, cols) -> float:
         sub = overlap[np.ix_(rows, cols)]
         r, c = linear_sum_assignment(sub, maximize=True)

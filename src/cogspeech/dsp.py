@@ -19,9 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .errors import ConfigError, ValidationError
+
+# scipy.signal (about 0.6 s to import) is imported inside the four functions
+# that call it, so subcommands that never filter do not pay for it.
 
 SAMPLE_RATE_MIN = 8000
 SAMPLE_RATE_MAX = 192000
@@ -107,6 +109,7 @@ def design_highpass(order: int, cutoff_hz: float, sample_rate: int) -> FilterSpe
                           f"({sample_rate / 2} Hz)")
     if order < 1:
         raise ConfigError(f"order must be >= 1, got {order}")
+    from scipy import signal as sps
     sos = sps.butter(order, cutoff_hz, btype="highpass", fs=sample_rate, output="sos")
     sections = tuple(
         BiquadSection(b0=row[0] / row[3], b1=row[1] / row[3], b2=row[2] / row[3],
@@ -129,12 +132,14 @@ def apply_filter(spec: FilterSpec, x: Signal) -> Signal:
     if spec.sample_rate != x.sample_rate:
         raise ValidationError(f"filter designed for {spec.sample_rate} Hz, "
                               f"signal is {x.sample_rate} Hz")
+    from scipy import signal as sps
     y = sps.sosfilt(spec.to_sos(), x.samples)
     return Signal(y, x.sample_rate)
 
 
 def magnitude_response_db(spec: FilterSpec, freqs_hz) -> np.ndarray:
     """Filter magnitude in dB at the given frequencies."""
+    from scipy import signal as sps
     w = 2 * np.pi * np.asarray(freqs_hz, dtype=np.float64) / spec.sample_rate
     _, h = sps.sosfreqz(spec.to_sos(), worN=w)
     return 20.0 * np.log10(np.maximum(np.abs(h), 1e-300))
@@ -294,6 +299,7 @@ def measure_loudness(x: Signal) -> LoudnessResult:
     if len(x) < block:
         return LoudnessResult(float("-inf"), 0)
 
+    from scipy import signal as sps
     weighted = sps.sosfilt(_k_weighting_sos(x.sample_rate), x.samples)
     css = np.concatenate([[0.0], np.cumsum(np.square(weighted))])
     n_blocks = 1 + (len(x) - block) // step

@@ -21,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 from scipy.linalg import lapack
 
 from .corpus import LabelHierarchy
@@ -47,13 +46,16 @@ def zscore_fit(X) -> Scaler:
         raise ValidationError("non-finite entries in feature matrix")
     mean = X.mean(axis=0)
     sd = X.std(axis=0)  # population SD
-    constant = tuple(int(i) for i in np.flatnonzero(sd == 0.0))
+    # Identical values can still give a mean one ulp off and an SD of
+    # rounding noise (2.2e-16 for twenty 1.495s), so test the range.
+    constant = tuple(int(i) for i in np.flatnonzero(np.ptp(X, axis=0) == 0.0))
     return Scaler(mean=mean, sd=sd, constant_columns=constant)
 
 
 def zscore_apply(scaler: Scaler, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    safe_sd = np.where(scaler.sd == 0.0, 1.0, scaler.sd)
+    safe_sd = scaler.sd.copy()
+    safe_sd[list(scaler.constant_columns)] = 1.0
     out = (X - scaler.mean) / safe_sd
     if scaler.constant_columns:
         out[:, list(scaler.constant_columns)] = 0.0
@@ -354,7 +356,8 @@ def welch_t(a, b) -> tuple[float, float]:
         return 0.0, 1.0  # identical constants
     t = float((a.mean() - b.mean()) / math.sqrt(se2))
     df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    p = float(2.0 * special.stdtr(df, -abs(t)))
+    from scipy.special import stdtr
+    p = float(2.0 * stdtr(df, -abs(t)))
     return t, p
 
 
@@ -372,7 +375,8 @@ def chi_square_2x2(counts) -> tuple[float, float]:
     if np.any(expected == 0.0):
         raise ValidationError("zero expected count")
     stat = float(np.sum((table - expected) ** 2 / expected))
-    p = float(special.chdtrc(1, stat))
+    from scipy.special import chdtrc
+    p = float(chdtrc(1, stat))
     return stat, p
 
 

@@ -110,23 +110,23 @@ def build_concatenated(x: Signal, tl: Timeline, participant: str,
         raise ValidationError(f"no participant segments for {participant!r}")
 
     short = tuple(i for i, p in enumerate(pieces) if len(p) < 2 * fade)
-    out = np.array(pieces[0], dtype=np.float64)
+    fade_flags = tuple(len(prev) >= 2 * fade and len(nxt) >= 2 * fade
+                       for prev, nxt in zip(pieces, pieces[1:]))
+    # every faded junction overlaps its two pieces by one fade
+    out = np.empty(sum(map(len, pieces)) - fade * sum(fade_flags))
+    end = len(pieces[0])
+    out[:end] = pieces[0]
     junctions = []
-    fade_flags = []
     ramp = np.arange(fade) / fade
-    for i in range(1, len(pieces)):
-        nxt = pieces[i]
-        can_fade = len(pieces[i - 1]) >= 2 * fade and len(nxt) >= 2 * fade
+    for nxt, can_fade in zip(pieces[1:], fade_flags):
+        start = end - fade if can_fade else end
         if can_fade:
-            junctions.append(len(out) - fade)
-            out[-fade:] = out[-fade:] * (1.0 - ramp) + nxt[:fade] * ramp
-            out = np.concatenate([out, nxt[fade:]])
-        else:
-            junctions.append(len(out))
-            out = np.concatenate([out, nxt])
-        fade_flags.append(can_fade)
+            out[start:end] = out[start:end] * (1.0 - ramp) + nxt[:fade] * ramp
+        out[end:start + len(nxt)] = nxt[end - start:]
+        junctions.append(start)
+        end = start + len(nxt)
     return ConcatResult(signal=Signal(out, fs), junctions=tuple(junctions),
-                        faded=tuple(fade_flags), short_segments=short)
+                        faded=fade_flags, short_segments=short)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from .errors import InputError
 
@@ -23,6 +22,7 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such audio file: {path}")
+    from scipy.io import wavfile  # imported here: it loads scipy.sparse
     try:
         rate, data = wavfile.read(str(path))
     except ValueError as exc:
@@ -37,5 +37,6 @@ def read_wav(path) -> tuple[np.ndarray, int]:
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
+    from scipy.io import wavfile
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     wavfile.write(str(path), int(sample_rate), np.asarray(samples, dtype=np.float32))

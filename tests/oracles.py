@@ -2,7 +2,8 @@
 
 Everything here is deliberately written the dumb way: frame-by-frame
 counting for diarization scores, explicit normal equations for ridge,
-covariance eigendecomposition for PCA, sequential minimal optimization
+covariance eigendecomposition for PCA, one np.concatenate per junction
+for the concatenated stream, sequential minimal optimization
 (one pair of dual variables per step) for the linear SVM, and one frame
 at a time for the acoustic descriptors (direct autocorrelation, a full
 scan of the pulses per frame, a scalar Levinson-Durbin fit and np.roots
@@ -155,6 +156,31 @@ def diar_scores(ref_segments, hyp_segments, collar_s=0.0, frame_s=FRAME_S,
         "confusion_s": confusion * frame_s,
         "scored_total_s": scored * frame_s,
     }
+
+
+# ---------------------------------------------------------------------------
+# Concatenated stream
+
+def concatenated(pieces, fade):
+    """(samples, junctions, faded, short_segments) of the cross-faded
+    splice, growing the output by one np.concatenate per junction."""
+    short = tuple(i for i, p in enumerate(pieces) if len(p) < 2 * fade)
+    out = np.array(pieces[0], dtype=np.float64)
+    junctions = []
+    fade_flags = []
+    ramp = np.arange(fade) / fade
+    for i in range(1, len(pieces)):
+        nxt = pieces[i]
+        can_fade = len(pieces[i - 1]) >= 2 * fade and len(nxt) >= 2 * fade
+        if can_fade:
+            junctions.append(len(out) - fade)
+            out[-fade:] = out[-fade:] * (1.0 - ramp) + nxt[:fade] * ramp
+            out = np.concatenate([out, nxt[fade:]])
+        else:
+            junctions.append(len(out))
+            out = np.concatenate([out, nxt])
+        fade_flags.append(can_fade)
+    return out, tuple(junctions), tuple(fade_flags), short
 
 
 # ---------------------------------------------------------------------------

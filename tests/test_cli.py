@@ -3,6 +3,8 @@
 import csv
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -536,3 +538,34 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+def _modules_loaded_by(code: str, names) -> dict:
+    """{name: loaded?} in a fresh interpreter after running code."""
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([n in sys.modules for n in {list(names)!r}]))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    return dict(zip(names, json.loads(out.stdout.splitlines()[-1])))
+
+
+def test_cli_import_loads_every_traced_module():
+    """perfbench/tracing.LAYER_FUNCTIONS wraps functions of these modules
+    and finds them in sys.modules after only `import cogspeech.cli`, so
+    the CLI must keep importing them at module level."""
+    names = [f"cogspeech.{m}" for m in ("corpus", "wavio", "qc", "dsp", "streams",
+                                        "features", "model", "diar_eval")]
+    loaded = _modules_loaded_by("import cogspeech.cli", names)
+    assert all(loaded.values()), loaded
+
+
+def test_cli_help_leaves_heavy_scipy_subpackages_unloaded():
+    code = ("import cogspeech.cli\n"
+            "try:\n    cogspeech.cli.main(['cv', '--help'])\n"
+            "except SystemExit:\n    pass")
+    loaded = _modules_loaded_by(code, ["scipy.signal", "scipy.optimize",
+                                       "scipy.stats", "scipy.io"])
+    assert not any(loaded.values()), loaded

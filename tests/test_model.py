@@ -44,6 +44,16 @@ def test_zscore_constant_column_flagged():
     assert np.all(out[:, 1] == 0.0)
 
 
+def test_zscore_identical_values_with_rounding_sd_flagged_constant():
+    # Twenty 1.495s have a mean one ulp off and an np.std of 2.2e-16.
+    X = np.column_stack([np.linspace(0.0, 1.0, 20), np.full(20, 1.495)])
+    scaler = zscore_fit(X)
+    assert scaler.constant_columns == (1,)
+    assert np.all(zscore_apply(scaler, X)[:, 1] == 0.0)
+    heldout = np.array([[0.5, np.nextafter(1.495, 2.0)]])
+    assert zscore_apply(scaler, heldout)[0, 1] == 0.0
+
+
 def test_zscore_heldout_row_formula():
     rng = np.random.default_rng(0)
     X = rng.normal(3.0, 2.0, (40, 6))

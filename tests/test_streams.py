@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from cogspeech.corpus import Segment, Timeline
 from cogspeech.dsp import Signal, make_sine
 from cogspeech.errors import ValidationError
@@ -170,6 +172,35 @@ def test_concat_deterministic():
     r1 = build_concatenated(x, timeline, "PAR")
     r2 = build_concatenated(x, timeline, "PAR")
     assert np.array_equal(r1.signal.samples, r2.signal.samples)
+
+
+# participant turns in whole milliseconds: (gap before, duration); 1-19 ms
+# turns are shorter than two 10 ms fades, so some junctions are hard
+turns = st.lists(st.tuples(st.integers(0, 300), st.one_of(
+    st.integers(1, 19), st.integers(20, 400))), min_size=1, max_size=12)
+
+
+@given(turns=turns, crossfade_ms=st.sampled_from([1.0, 10.0, 25.0]),
+       seed=st.integers(0, 2 ** 16))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_concat_matches_oracle_and_length_identity(turns, crossfade_ms, seed):
+    segs, t_ms = [], 0
+    for gap, dur in turns:
+        t_ms += gap
+        segs.append(("PAR", t_ms / 1000.0, dur / 1000.0))
+        t_ms += dur
+    # an examiner turn after the participant's, which must be left out
+    segs.append(("INV", t_ms / 1000.0, 0.1))
+    x = Signal(noise(int(round((t_ms + 200) / 1000.0 * FS)), seed=seed), FS)
+    res = build_concatenated(x, tl(*segs), "PAR", crossfade_ms=crossfade_ms)
+
+    fade = int(round(crossfade_ms / 1000.0 * FS))
+    pieces = [x.samples[int(round(on * FS)):int(round((on + dur) * FS))]
+              for spk, on, dur in segs if spk == "PAR"]
+    samples, junctions, faded, short = oracles.concatenated(pieces, fade)
+    assert np.array_equal(res.signal.samples, samples)
+    assert (res.junctions, res.faded, res.short_segments) == (junctions, faded, short)
+    assert len(res.signal) == sum(map(len, pieces)) - fade * sum(res.faded)
 
 
 # ---------------------------------------------------------------------------
