@@ -82,19 +82,23 @@ def _write_run_manifest(outdir, command: str, args: dict, inputs) -> None:
         fh.write("\n")
 
 
-def _load_config_file(path):
-    if path in (None, "default"):
-        return {}
+def _read_json(path, what: str):
+    """Parsed content of a JSON input; InputError if the file cannot be
+    read, ConfigError if it is not JSON."""
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}")
+        raise InputError(f"cannot read {what} {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    return cfg
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}")
+
+
+def _read_json_object(path, what: str) -> dict:
+    payload = _read_json(path, what)
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} {path} must hold a JSON object")
+    return payload
 
 
 def _resolve(base: Path, p: str) -> str:
@@ -214,7 +218,8 @@ def _cmd_qc(args) -> int:
 
 
 def _preprocess_config(args) -> dsp.PreprocessConfig:
-    cfg = _load_config_file(args.config)
+    cfg = ({} if args.config in (None, "default")
+           else _read_json_object(args.config, "config"))
     allowed = {f for f in dsp.PreprocessConfig.__dataclass_fields__}
     unknown = set(cfg) - allowed
     if unknown:
@@ -402,11 +407,7 @@ def _parse_subjects(raw: str) -> frozenset:
 
 
 def _cmd_grid_search(args) -> int:
-    with open(args.grid) as fh:
-        try:
-            schema = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"grid file {args.grid}: {exc}")
+    schema = _read_json_object(args.grid, "grid file")
     manifest = corpus.load_manifest(args.manifest)
     base = Path(args.manifest).parent
     rttm_dir = Path(args.rttm_dir)
@@ -479,14 +480,10 @@ def _build_dataset(manifest: corpus.Manifest, names, rows, target,
     )
 
 
-def _load_grid_file(path, kind: str):
+def _load_grid_file(path):
     if path is None:
         return None
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"grid file {path}: {exc}")
+    raw = _read_json(path, "grid file")
     if not isinstance(raw, list):
         raise ConfigError(f"grid file {path} must hold a JSON list")
     return [model.config_from_dict(d) for d in raw]
@@ -498,7 +495,7 @@ def _cmd_cv(args) -> int:
     _warn_hierarchy(manifest)
     names, rows = features.read_feature_csv(args.features)
     data = _build_dataset(manifest, names, rows, target, args.split)
-    grid = _load_grid_file(args.grid, target.kind)
+    grid = _load_grid_file(args.grid)
     report, fit_log = model.nested_cv(data, target, grid=grid,
                                       seed=args.seed, jobs=args.jobs)
     model.assert_no_leakage(fit_log)
@@ -525,6 +522,14 @@ def _cmd_cv(args) -> int:
     return EXIT_OK
 
 
+def _read_voted_config(path) -> tuple[dict, model.PipelineConfig]:
+    """A cv report and the majority-vote config it names."""
+    payload = _read_json_object(path, "cv report")
+    if "majority_vote_config_params" not in payload:
+        raise ConfigError(f"cv report {path} has no majority_vote_config_params")
+    return payload, model.config_from_dict(payload["majority_vote_config_params"])
+
+
 def _cmd_holdout(args) -> int:
     target = _target_from_args(args)
     manifest = corpus.load_manifest(args.manifest)
@@ -532,9 +537,7 @@ def _cmd_holdout(args) -> int:
     names, rows = features.read_feature_csv(args.features)
     dev = _build_dataset(manifest, names, rows, target, "development")
     holdout = _build_dataset(manifest, names, rows, target, "holdout")
-    with open(args.config_from) as fh:
-        cv_payload = json.load(fh)
-    config = model.config_from_dict(cv_payload["majority_vote_config_params"])
+    cv_payload, config = _read_voted_config(args.config_from)
     result, record = model.holdout_eval(dev, holdout, config, target)
     model.assert_no_leakage([record])
     result["dev_summary"] = cv_payload.get("summary")
@@ -559,9 +562,7 @@ def _cmd_importance(args) -> int:
     names, rows = features.read_feature_csv(args.features)
     data = _build_dataset(manifest, names, rows, target, args.split)
     if args.config_from:
-        with open(args.config_from) as fh:
-            config = model.config_from_dict(
-                json.load(fh)["majority_vote_config_params"])
+        _, config = _read_voted_config(args.config_from)
     else:
         config = model.PipelineConfig(estimator="linear_svm", C=args.C,
                                       pca="passthrough")
@@ -581,41 +582,40 @@ def _cmd_importance(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cv_payloads = []
-    for path in args.cv:
-        with open(path) as fh:
-            cv_payloads.append(json.load(fh))
-    ho_payloads = []
-    for path in args.holdout or []:
-        with open(path) as fh:
-            ho_payloads.append(json.load(fh))
+    cv_payloads = [_read_json_object(path, "cv report") for path in args.cv]
+    ho_payloads = [_read_json_object(path, "holdout result")
+                   for path in args.holdout or []]
 
     def key(p):
         return (p.get("input_test_label"), p["target"]["level"],
                 p["target"]["name"], p.get("feature_set_label"))
 
-    ho_by_key = {key(p): p for p in ho_payloads}
+    rows = []
+    try:
+        ho_by_key = {key(p): p for p in ho_payloads}
+        for p in cv_payloads:
+            kind = p["target"]["kind"]
+            metric = "r" if kind == "regression" else "balanced_accuracy"
+            s = p["summary"][metric]
+            ho = ho_by_key.get(key(p))
+            ho_value = ho["metrics"][metric] if ho else None
+            rows.append({
+                "level_target": f"L{p['target']['level']}-{p['target']['name']}",
+                "input_test": p.get("input_test_label", ""),
+                "feature": p.get("feature_set_label", ""),
+                "metric": metric,
+                "dev_mean": s["mean"], "dev_sd": s["sd"],
+                "holdout": ho_value,
+                "level": p["target"]["level"],
+                "target": p["target"]["name"],
+            })
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed cv report or holdout result: "
+                          f"{type(exc).__name__} {exc}") from None
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
     import csv as _csv
-    rows = []
-    for p in cv_payloads:
-        kind = p["target"]["kind"]
-        metric = "r" if kind == "regression" else "balanced_accuracy"
-        s = p["summary"][metric]
-        ho = ho_by_key.get(key(p))
-        ho_value = ho["metrics"][metric] if ho else None
-        rows.append({
-            "level_target": f"L{p['target']['level']}-{p['target']['name']}",
-            "input_test": p.get("input_test_label", ""),
-            "feature": p.get("feature_set_label", ""),
-            "metric": metric,
-            "dev_mean": s["mean"], "dev_sd": s["sd"],
-            "holdout": ho_value,
-            "level": p["target"]["level"],
-            "target": p["target"]["name"],
-        })
     with open(outdir / "hierarchy_table.csv", "w", newline="") as fh:
         w = _csv.writer(fh)
         w.writerow(["Level-Target", "Input Test", "Feature", "Metric",

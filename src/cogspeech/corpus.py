@@ -252,13 +252,17 @@ def load_manifest(path) -> Manifest:
             pos = fh.tell()
             line = fh.readline()
         fh.seek(pos)
-        for meta in header_meta:
+        for lineno, meta in enumerate(header_meta, start=1):
             if "=" not in meta:
                 continue
             key, _, value = meta.partition("=")
             if key.strip() == "domain_range":
-                lo, _, hi = value.partition(",")
-                domain_range = (float(lo), float(hi))
+                try:
+                    lo, hi = map(float, value.split(","))
+                except ValueError:
+                    raise ParseError(f"domain_range must be two numbers 'lo,hi', "
+                                     f"got {value.strip()!r}", lineno) from None
+                domain_range = (lo, hi)
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ParseError("empty manifest: no header row")

@@ -411,33 +411,29 @@ def _aggregate(per_session: list[dict]) -> dict:
     }
 
 
-class _PreprocessCache:
-    """Preprocessed wavs keyed by (session, dsp params); filled before the
-    parallel phase so adapter workers only read."""
-
-    def __init__(self, workdir: Path):
-        self.workdir = workdir
-        self._paths = {}
-
-    def populate(self, sessions, dsp_keys):
-        for key_idx, (dsp_key, cfg) in enumerate(dsp_keys):
-            for sess in sessions:
-                x, rate = wavio.read_wav(sess.audio_path)
-                processed, _ = preprocess_chain(Signal(x, rate), cfg)
-                out = self.workdir / f"pp_{key_idx}_{sess.session_id}.wav"
-                wavio.write_wav(out, processed.samples, processed.sample_rate)
-                self._paths[(sess.session_id, dsp_key)] = str(out)
-
-    def path(self, session_id: str, dsp_key: tuple) -> str:
-        return self._paths[(session_id, dsp_key)]
+def _preprocess_sessions(sessions, points, workdir: Path) -> dict:
+    """Preprocessed wav path for each (session id, dsp key) of the grid,
+    written before the parallel phase so adapter workers only read."""
+    configs = {}
+    for p in points:
+        configs.setdefault(p.dsp_key(), p.dsp_config())
+    wavs = {}
+    for key_idx, (dsp_key, cfg) in enumerate(configs.items()):
+        for sess in sessions:
+            x, rate = wavio.read_wav(sess.audio_path)
+            processed, _ = preprocess_chain(Signal(x, rate), cfg)
+            out = workdir / f"pp_{key_idx}_{sess.session_id}.wav"
+            wavio.write_wav(out, processed.samples, processed.sample_rate)
+            wavs[(sess.session_id, dsp_key)] = str(out)
+    return wavs
 
 
-def _evaluate_point(point: GridPoint, sessions, cache: _PreprocessCache,
+def _evaluate_point(point: GridPoint, sessions, wavs: dict,
                     adapter: DiarizerAdapter, scoring: ScoringConfig,
                     workdir: Path) -> list[dict]:
     scores = []
     for sess in sessions:
-        wav = cache.path(sess.session_id, point.dsp_key())
+        wav = wavs[(sess.session_id, point.dsp_key())]
         out = workdir / f"hyp_{point.index}_{sess.session_id}.rttm"
         hyp = adapter.run(wav, str(out), sess.session_id, point.adapter_params())
         scores.append(score_pair(sess.reference, hyp, scoring))
@@ -475,15 +471,11 @@ def run_grid_search(schema: dict, sessions, adapter: DiarizerAdapter,
     workdir.mkdir(parents=True, exist_ok=True)
 
     try:
-        dsp_keys = {}
-        for p in points:
-            dsp_keys.setdefault(p.dsp_key(), p.dsp_config())
-        cache = _PreprocessCache(workdir)
-        cache.populate(sessions, list(dsp_keys.items()))
+        wavs = _preprocess_sessions(sessions, points, workdir)
 
         def work(point: GridPoint) -> GridResult:
             try:
-                scores = _evaluate_point(point, tuning, cache, adapter,
+                scores = _evaluate_point(point, tuning, wavs, adapter,
                                          scoring, workdir)
             except Exception as exc:  # any per-point failure: mark, move on
                 return GridResult(point=point, status="failed", error=str(exc))
@@ -506,7 +498,7 @@ def run_grid_search(schema: dict, sessions, adapter: DiarizerAdapter,
 
         ok.sort(key=rank_key)
         top = ok[0]
-        val_scores = _evaluate_point(top.point, validation, cache, adapter,
+        val_scores = _evaluate_point(top.point, validation, wavs, adapter,
                                      scoring, workdir)
         ok[0] = replace(top, validation=_aggregate(val_scores))
         return ok + sorted(failed, key=lambda r: r.point.index)

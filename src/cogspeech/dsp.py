@@ -30,6 +30,13 @@ SAMPLE_RATE_MAX = 192000
 
 RMS_FLOOR_DBFS = -120.0
 
+# Frames per block of the frame meter and the feature passes (1.28 s at a
+# 10 ms hop; larger blocks were no faster on a 2-core host), samples per
+# block of the scalar meter (at least numpy's 128): transient arrays keep
+# a fixed size whatever the recording length.
+_BLOCK_FRAMES = 128
+_BLOCK_SAMPLES = 1 << 16
+
 # Integrated loudness constants
 _BLOCK_S = 0.400
 _BLOCK_STEP_S = 0.100
@@ -64,8 +71,20 @@ class Signal:
         return len(self.samples)
 
 
+def _sum_squares(x: np.ndarray) -> float:
+    """np.sum(np.square(x)), bitwise, in blocks of _BLOCK_SAMPLES: numpy's
+    pairwise sum splits an array at half its length rounded down to a
+    multiple of 8, so splitting at the same places keeps every partial sum."""
+    n = len(x)
+    if n <= _BLOCK_SAMPLES:
+        return float(np.sum(np.square(x)))
+    half = n // 2 - n // 2 % 8
+    return _sum_squares(x[:half]) + _sum_squares(x[half:])
+
+
 def _rms_db(x: np.ndarray) -> float:
-    ms = float(np.mean(np.square(x))) if len(x) else 0.0
+    """Level in dB re full scale, floored at RMS_FLOOR_DBFS (also if empty)."""
+    ms = _sum_squares(x) / len(x) if len(x) else 0.0
     if ms <= 0.0:
         return RMS_FLOOR_DBFS
     return max(10.0 * math.log10(ms), RMS_FLOOR_DBFS)
@@ -183,6 +202,26 @@ def _frame_signal(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
     if len(x) < frame_len:
         return np.zeros((0, frame_len))
     return np.lib.stride_tricks.sliding_window_view(x, frame_len)[::hop]
+
+
+def _blocks(n: int):
+    """Consecutive slices of range(n), at most _BLOCK_FRAMES long."""
+    return (slice(lo, min(lo + _BLOCK_FRAMES, n))
+            for lo in range(0, n, _BLOCK_FRAMES))
+
+
+def _frame_levels(x: Signal, frame_s: float, hop_s: float
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy frame view of the samples (one frame_s frame every hop_s)
+    and each frame's level in dB, floored at RMS_FLOOR_DBFS."""
+    frames = _frame_signal(x.samples, int(round(frame_s * x.sample_rate)),
+                           int(round(hop_s * x.sample_rate)))
+    ms = np.empty(len(frames))
+    for b in _blocks(len(ms)):
+        ms[b] = np.mean(np.square(frames[b]), axis=1)
+    with np.errstate(divide="ignore"):
+        db = 10.0 * np.log10(ms)
+    return frames, np.maximum(db, RMS_FLOOR_DBFS)
 
 
 def _stft(x: np.ndarray, cfg: GateConfig) -> np.ndarray:

@@ -16,10 +16,12 @@ formants) are computed by one batched pass per stream: frames are
 zero-copy strided views of the samples, and every per-frame decision
 (peak picking, pulse-window statistics, the Levinson-Durbin recursion,
 formant selection) runs as array operations over all frames at once.
-Frames go through the FFTs, autocorrelations and companion-matrix
-eigenvalues in blocks of at most ``_BLOCK_FRAMES``, so the transient
-arrays have a fixed size and peak memory does not grow with the length
-of the recording; only the per-frame contours do.
+Frames and their levels come from ``dsp._frame_levels``, the meter that
+QC shares. They go through the level meter, the FFTs, autocorrelations and
+companion-matrix eigenvalues in the blocks of ``dsp._blocks`` (at most
+``dsp._BLOCK_FRAMES`` frames), so the transient arrays have a fixed size
+and peak memory does not grow with the length of the recording; only the
+per-frame contours do.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Signal, _frame_signal
+from .dsp import Signal, _blocks, _frame_levels
 from .errors import InputError, ValidationError
 
 FRAME_S = 0.025
@@ -41,11 +43,6 @@ SEMITONE_REF_HZ = 27.5
 VOICING_THRESHOLD = 0.45
 ENERGY_FLOOR_DBFS = -60.0
 HNR_MIN_DB, HNR_MAX_DB = -20.0, 40.0
-
-# frames per block of the FFT, autocorrelation and LPC passes (1.28 s at
-# a 10 ms hop); bounds their transient arrays independently of length.
-# Larger blocks were no faster on a 2-core host and need more memory.
-_BLOCK_FRAMES = 128
 
 SET_TAGS = ("EG_PROSODY", "EG_VQUAL", "EG_ALL", "EMBEDDING")
 
@@ -124,28 +121,6 @@ class FeatureVector:
         return np.array(list(self.values.values()), dtype=np.float64)
 
 
-def _blocks(n: int):
-    """Consecutive slices of range(n), at most _BLOCK_FRAMES long."""
-    return (slice(lo, min(lo + _BLOCK_FRAMES, n))
-            for lo in range(0, n, _BLOCK_FRAMES))
-
-
-def _frames_and_rms(x: Signal, win_s: float, hop_s: float):
-    """Zero-copy frame view of the samples and the per-frame level in dB
-    (floored at -120)."""
-    win = int(round(win_s * x.sample_rate))
-    hop = int(round(hop_s * x.sample_rate))
-    if len(x) < win:
-        return np.zeros((0, win)), np.zeros(0)
-    frames = _frame_signal(x.samples, win, hop)
-    ms = np.empty(frames.shape[0])
-    for b in _blocks(len(ms)):
-        ms[b] = np.mean(np.square(frames[b]), axis=1)
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(ms)
-    return frames, np.maximum(db, -120.0)
-
-
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(starts, stops) of the runs of True in a boolean array."""
     edges = np.diff(np.concatenate([[0], mask.astype(np.int8), [0]]))
@@ -207,7 +182,7 @@ def track_f0(x: Signal, fmin: float = 60.0, fmax: float = 400.0,
     if x.sample_rate < 8000:
         raise ValidationError(f"need fs >= 8 kHz, got {x.sample_rate}")
     fs = x.sample_rate
-    frames, frame_db = _frames_and_rms(x, win_s, hop_s)
+    frames, frame_db = _frame_levels(x, win_s, hop_s)
     nf = frames.shape[0]
     if nf == 0:
         return LldContour("f0", np.zeros(0), np.zeros(0, dtype=bool))
@@ -322,7 +297,7 @@ def jitter_shimmer_hnr(x: Signal, f0c: LldContour, win_s: float = F0_WIN_S,
     the frame has energy, voiced or not.
     """
     fs = x.sample_rate
-    frames, frame_db = _frames_and_rms(x, win_s, hop_s)
+    frames, frame_db = _frame_levels(x, win_s, hop_s)
     nf = min(frames.shape[0], len(f0c))
     voiced = f0c.voiced_mask[:nf]
     if nf == 0 or not np.any(voiced):
@@ -380,7 +355,7 @@ def spectral_slopes(x: Signal, f0c: LldContour,
     within each band, as separate voiced and unvoiced contours. Spectra
     are taken one block of frames at a time."""
     fs = x.sample_rate
-    frames, frame_db = _frames_and_rms(x, frame_s, hop_s)
+    frames, frame_db = _frame_levels(x, frame_s, hop_s)
     nf, win = frames.shape
     freqs = np.fft.rfftfreq(win, 1.0 / fs)
     fits = []
@@ -508,7 +483,7 @@ def formant_bandwidths(x: Signal, f0c: LldContour, order: int | None = None,
     fs = x.sample_rate
     if order is None:
         order = fs // 1000 + 2
-    frames, _ = _frames_and_rms(x, frame_s, hop_s)
+    frames, _ = _frame_levels(x, frame_s, hop_s)
     nf = min(frames.shape[0], len(f0c))
     window = np.hamming(frames.shape[1])
     voiced = np.flatnonzero(f0c.voiced_mask[:nf])
@@ -614,7 +589,7 @@ def extract_feature_sets(prosody: Signal | None, concat: Signal | None
     prosody_absent: list = []
     if prosody is not None:
         f0p = track_f0(prosody)
-        _, frame_db = _frames_and_rms(prosody, FRAME_S, HOP_S)
+        _, frame_db = _frame_levels(prosody, FRAME_S, HOP_S)
         rms_contour = LldContour("rms_db", frame_db,
                                  frame_db > ENERGY_FLOOR_DBFS)
         fv = apply_functionals([f0p, rms_contour], set_tag="EG_PROSODY")

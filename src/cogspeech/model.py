@@ -552,12 +552,16 @@ def config_to_dict(cfg: PipelineConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> PipelineConfig:
-    pca = d.get("pca", "passthrough")
-    if pca != "passthrough":
-        pca = float(pca)
-    return PipelineConfig(estimator=d["estimator"], pca=pca,
-                          lam=d.get("lam"), C=d.get("C"),
-                          class_weighting=d.get("class_weighting", "balanced"))
+    """Pipeline config from its JSON form; ConfigError if malformed."""
+    try:
+        pca = d.get("pca", "passthrough")
+        return PipelineConfig(estimator=d["estimator"],
+                              pca=pca if pca == "passthrough" else float(pca),
+                              lam=d.get("lam"), C=d.get("C"),
+                              class_weighting=d.get("class_weighting", "balanced"))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed pipeline config {d!r}: "
+                          f"{type(exc).__name__} {exc}") from None
 
 
 def default_grid(kind: str) -> list[PipelineConfig]:

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import RMS_FLOOR_DBFS, Signal, _frame_signal
+from .dsp import (RMS_FLOOR_DBFS, _BLOCK_SAMPLES, Signal, _frame_levels,
+                  _rms_db)
 from .errors import ValidationError
 
 # Absolute frame-energy floor used when the signal has no level contrast
@@ -27,27 +28,28 @@ def rms_dbfs(x: Signal) -> float:
     """Full-scale-referenced RMS in dB; silence capped at -120."""
     if len(x) == 0:
         raise ValidationError("empty signal")
-    ms = float(np.mean(np.square(x.samples)))
-    if ms <= 0.0:
-        return RMS_FLOOR_DBFS
-    return max(10.0 * math.log10(ms), RMS_FLOOR_DBFS)
+    return _rms_db(x.samples)
 
 
 def clipping_ratio(x: Signal, clip_level: float = 0.999) -> float:
     """Fraction of samples at or beyond clip_level of full scale."""
     if len(x) == 0:
         raise ValidationError("empty signal")
-    return float(np.count_nonzero(np.abs(x.samples) >= clip_level)) / len(x)
+    n = _BLOCK_SAMPLES
+    clipped = sum(np.count_nonzero(np.abs(x.samples[lo:lo + n]) >= clip_level)
+                  for lo in range(0, len(x), n))
+    return float(clipped) / len(x)
 
 
-def _frame_rms_db(x: Signal, frame_s: float, hop_s: float) -> np.ndarray:
-    frame_len = int(round(frame_s * x.sample_rate))
-    hop = int(round(hop_s * x.sample_rate))
-    frames = _frame_signal(x.samples, frame_len, hop)
-    ms = np.mean(np.square(frames), axis=1)
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(ms)
-    return np.maximum(db, RMS_FLOOR_DBFS)
+def _active_frames(db: np.ndarray, noise_q: float, margin_db: float
+                   ) -> np.ndarray:
+    """The threshold rule of speech_activity_ratio, which also picks the
+    frames of the active-scope RMS in measure_metrics."""
+    lo = float(np.quantile(db, noise_q))
+    hi = float(np.quantile(db, 0.95))
+    if hi - lo < _HOMOGENEOUS_SPREAD_DB:
+        return db > ACTIVITY_FLOOR_DBFS
+    return db > lo + margin_db
 
 
 def estimate_snr_quantile(x: Signal, frame_s: float = 0.025, hop_s: float = 0.010,
@@ -57,7 +59,7 @@ def estimate_snr_quantile(x: Signal, frame_s: float = 0.025, hop_s: float = 0.01
     if x.duration_s < 1.0:
         raise ValidationError(f"need at least 1 s for SNR estimation, got "
                               f"{x.duration_s:.3f} s")
-    db = _frame_rms_db(x, frame_s, hop_s)
+    _, db = _frame_levels(x, frame_s, hop_s)
     return float(np.quantile(db, speech_q) - np.quantile(db, noise_q))
 
 
@@ -73,14 +75,8 @@ def speech_activity_ratio(x: Signal, frame_s: float = 0.025, hop_s: float = 0.01
     if x.duration_s < 1.0:
         raise ValidationError(f"need at least 1 s for activity estimation, got "
                               f"{x.duration_s:.3f} s")
-    db = _frame_rms_db(x, frame_s, hop_s)
-    lo = float(np.quantile(db, noise_q))
-    hi = float(np.quantile(db, 0.95))
-    if hi - lo < _HOMOGENEOUS_SPREAD_DB:
-        threshold = ACTIVITY_FLOOR_DBFS
-    else:
-        threshold = lo + margin_db
-    return float(np.mean(db > threshold))
+    _, db = _frame_levels(x, frame_s, hop_s)
+    return float(np.mean(_active_frames(db, noise_q, margin_db)))
 
 
 @dataclass(frozen=True)
@@ -176,33 +172,24 @@ def measure_metrics(x: Signal, t: QcThresholds | None = None,
         raise ValidationError(f"rms_scope must be 'full' or 'active', got "
                               f"{rms_scope!r}")
     duration = x.duration_s
-    level = rms_dbfs(x) if len(x) else RMS_FLOOR_DBFS
+    level = _rms_db(x.samples)
     clip = clipping_ratio(x, t.clip_level) if len(x) else 0.0
     if duration >= 1.0:
-        snr = estimate_snr_quantile(x)
-        activity = speech_activity_ratio(x)
+        # one framing for the defaults of estimate_snr_quantile and
+        # speech_activity_ratio
+        _, db = _frame_levels(x, 0.025, 0.010)
+        snr = float(np.quantile(db, 0.95) - np.quantile(db, 0.15))
+        active = _active_frames(db, 0.15, 6.0)
+        activity = float(np.mean(active))
         if rms_scope == "active":
-            level = _active_rms_dbfs(x)
+            level = RMS_FLOOR_DBFS
+            if np.any(active):  # mean power over the active frames, in dB
+                level = float(10.0 * np.log10(np.mean(10.0 ** (db[active] / 10.0))))
     else:
         snr = float("nan")
         activity = float("nan")
     return QcMetrics(duration_s=duration, rms_dbfs=level, clip_ratio=clip,
                      snr_db=snr, activity_ratio=activity)
-
-
-def _active_rms_dbfs(x: Signal, frame_s: float = 0.025, hop_s: float = 0.010,
-                     noise_q: float = 0.15, margin_db: float = 6.0) -> float:
-    """RMS over VAD-active frames only (optional alternative gate input)."""
-    db = _frame_rms_db(x, frame_s, hop_s)
-    lo = float(np.quantile(db, noise_q))
-    hi = float(np.quantile(db, 0.95))
-    threshold = ACTIVITY_FLOOR_DBFS if hi - lo < _HOMOGENEOUS_SPREAD_DB \
-        else lo + margin_db
-    active = db > threshold
-    if not np.any(active):
-        return RMS_FLOOR_DBFS
-    # mean power over active frames, back to dB
-    return float(10.0 * np.log10(np.mean(10.0 ** (db[active] / 10.0))))
 
 
 def qc_gate(x: Signal, t: QcThresholds | None = None,

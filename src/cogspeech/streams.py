@@ -11,13 +11,12 @@ kept); set overlap_priority="other" to mask overlaps instead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import Timeline
-from .dsp import Signal
+from .dsp import Signal, _rms_db
 from .errors import ValidationError
 
 CROSSFADE_MS_DEFAULT = 10.0
@@ -152,7 +151,7 @@ def audit_transitions(x: Signal, boundaries, step_threshold: float = 0.2,
         step = abs(float(x.samples[b] - x.samples[b - 1]))
         left = x.samples[max(0, b - w):b]
         right = x.samples[b:min(n, b + w)]
-        jump = abs(_rms_db_floor(right) - _rms_db_floor(left))
+        jump = abs(_rms_db(right) - _rms_db(left))
         reasons = []
         if step > step_threshold:
             reasons.append("sample step")
@@ -163,9 +162,3 @@ def audit_transitions(x: Signal, boundaries, step_threshold: float = 0.2,
                                         step=step, rms_jump_db=jump))
     return flags
 
-
-def _rms_db_floor(seg: np.ndarray) -> float:
-    ms = float(np.mean(np.square(seg))) if len(seg) else 0.0
-    if ms <= 1e-24:
-        return -120.0
-    return max(10.0 * math.log10(ms), -120.0)

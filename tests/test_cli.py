@@ -534,6 +534,100 @@ def test_missing_manifest_is_input_error(tmp_path):
                  "--out", str(tmp_path / "o.jsonl")]) == 4
 
 
+def test_malformed_manifest_header_is_input_error(corpus, tmp_path, capsys):
+    bad = tmp_path / "m.csv"
+    bad.write_text("# domain_range=abc\n" + corpus["manifest"].read_text())
+    assert main(["qc", "--manifest", str(bad),
+                 "--out", str(tmp_path / "qc.jsonl")]) == 4
+    err = capsys.readouterr().err
+    assert "line 1" in err and "Traceback" not in err
+
+
+NOT_JSON = "{not json"
+
+
+def assert_config_error(argv, capsys):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_preprocess_malformed_config_is_config_error(corpus, tmp_path,
+                                                     capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(NOT_JSON)
+    assert_config_error(["preprocess", "--manifest", str(corpus["manifest"]),
+                         "--outdir", str(tmp_path / "o"),
+                         "--config", str(cfg)], capsys)
+
+
+def test_grid_search_malformed_grid_is_config_error(corpus, tmp_path, capsys):
+    tuning, validation = subject_split(corpus)
+    for text in (NOT_JSON, "[1, 2]"):
+        grid = tmp_path / "grid.json"
+        grid.write_text(text)
+        assert_config_error(
+            ["grid-search", "--grid", str(grid),
+             "--manifest", str(corpus["manifest"]),
+             "--rttm-dir", str(corpus["root"] / "rttm"), "--adapter", "false",
+             "--tuning-subjects", tuning, "--validation-subjects", validation,
+             "--out", str(tmp_path / "grid.csv")], capsys)
+
+
+@pytest.mark.parametrize("text", [NOT_JSON, '[{"lam": 1.0}]', '["ridge"]',
+                                  '[{"estimator": "ridge", "lam": 1.0, '
+                                  '"pca": "half"}]',
+                                  '[{"estimator": "ridge", "lam": "x"}]'])
+def test_cv_malformed_grid_is_config_error(corpus, feature_csv, tmp_path,
+                                           capsys, text):
+    grid = tmp_path / "grid.json"
+    grid.write_text(text)
+    assert_config_error(["cv", "--features", str(feature_csv),
+                         "--manifest", str(corpus["manifest"]),
+                         "--level", "1", "--target", "MMSE",
+                         "--kind", "regression", "--grid", str(grid),
+                         "--out", str(tmp_path / "cv.json")], capsys)
+
+
+@pytest.mark.parametrize("text", [NOT_JSON, '{"summary": {}}'])
+def test_holdout_malformed_config_from_is_config_error(
+        corpus, feature_csv, tmp_path, capsys, text):
+    cfg = tmp_path / "cv.json"
+    cfg.write_text(text)
+    assert_config_error(["holdout", "--features", str(feature_csv),
+                         "--manifest", str(corpus["manifest"]),
+                         "--level", "3", "--target", "cerad_total",
+                         "--kind", "regression", "--config-from", str(cfg),
+                         "--out", str(tmp_path / "ho.json")], capsys)
+
+
+@pytest.mark.parametrize("text", [NOT_JSON, '{"summary": {}}'])
+def test_importance_malformed_config_from_is_config_error(
+        corpus, feature_csv, tmp_path, capsys, text):
+    cfg = tmp_path / "cv.json"
+    cfg.write_text(text)
+    assert_config_error(["importance", "--features", str(feature_csv),
+                         "--manifest", str(corpus["manifest"]),
+                         "--level", "3", "--target", "mci",
+                         "--kind", "classification", "--config-from", str(cfg),
+                         "--out", str(tmp_path / "imp.csv")], capsys)
+
+
+@pytest.mark.parametrize("text", [NOT_JSON, '{"summary": {}}',
+                                  '{"target": 3, "summary": {}}'])
+def test_report_malformed_cv_is_config_error(tmp_path, capsys, text):
+    cv = tmp_path / "cv.json"
+    cv.write_text(text)
+    assert_config_error(["report", "--cv", str(cv),
+                         "--out-dir", str(tmp_path / "report")], capsys)
+
+
+def test_unreadable_json_input_is_input_error(tmp_path, capsys):
+    assert main(["report", "--cv", str(tmp_path / "missing.json"),
+                 "--out-dir", str(tmp_path / "report")]) == 4
+    assert "cannot read cv report" in capsys.readouterr().err
+
+
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -116,6 +116,18 @@ def test_load_manifest_rejections(tmp_path):
         load_manifest(p)
 
 
+@pytest.mark.parametrize("header", ["# domain_range=abc\n",
+                                    "# domain_range=0\n",
+                                    "# domain_range=0,1,2\n"])
+def test_malformed_domain_range_header_is_parse_error(tmp_path, header):
+    p = tmp_path / "m.csv"
+    p.write_text("# site=a\n" + _manifest_text([GOOD_ROW], header=header))
+    with pytest.raises(ParseError) as err:
+        load_manifest(p)
+    assert err.value.line_number == 2
+    assert "domain_range" in str(err.value)
+
+
 def _record(sid, subject, group="HC", split="development", **labels):
     defaults = dict(level1={}, level2={}, cerad_total=None, cerad_binary=None,
                     mci=0 if group == "HC" else 1)

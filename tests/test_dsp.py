@@ -1,8 +1,13 @@
 """Filters, spectral gate, and loudness measurement."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
+from cogspeech import dsp
 from cogspeech.dsp import (
     GateConfig, PreprocessConfig, Signal, apply_filter, design_highpass,
     estimate_noise_profile, magnitude_response_db, make_sine,
@@ -277,3 +282,55 @@ def test_preprocess_chain_hits_loudness_target():
     x = make_sine(997.0, 5.0, FS, peak=0.05)
     out, audit = preprocess_chain(x, PreprocessConfig(loudness_target_lufs=-30.0))
     assert measure_loudness(out).integrated_lufs == pytest.approx(-30.0, abs=0.2)
+
+
+# ---------------------------------------------------------------------------
+# Level meters
+
+
+@st.composite
+def with_silences(draw, max_len):
+    """Gaussian noise at a random level with stretches of exact zeros."""
+    n = draw(st.integers(0, max_len))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x = rng.standard_normal(n) * 10.0 ** draw(st.floats(-7.0, 0.0))
+    for _ in range(draw(st.integers(0, 4))):
+        start = int(rng.integers(0, n + 1))
+        x[start:start + int(rng.integers(0, 3 * 4096))] = 0.0
+    return x
+
+
+# up to four and a half blocks of 128 frames of 25 ms at a 10 ms hop
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(x=with_silences(max_len=int(4.5 * 128 * 160)),
+       block=st.sampled_from([3, 17, 64, 128]))
+def test_frame_levels_match_per_frame_oracle(x, block):
+    with mock.patch.object(dsp, "_BLOCK_FRAMES", block):
+        frames, level = dsp._frame_levels(Signal(x, FS), 0.025, 0.010)
+    want = oracles._frames(x, 400, 160)
+    assert frames.shape == (len(want), 400)
+    assert np.array_equal(frames, np.reshape(want, (-1, 400)))
+    # bitwise the levels of one unblocked pass over all frames
+    with np.errstate(divide="ignore"):
+        unblocked = 10.0 * np.log10(np.mean(np.square(frames), axis=1))
+    assert np.array_equal(level, np.maximum(unblocked, -120.0))
+    # the oracle takes math.log10, which differs from np.log10 in the last
+    # bit for about 0.6% of arguments
+    np.testing.assert_array_max_ulp(
+        level, np.array([oracles._frame_db(f) for f in want]), maxulp=2)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(x=with_silences(max_len=20000),
+       block=st.sampled_from([128, 1000, 4096, dsp._BLOCK_SAMPLES]))
+def test_rms_db_matches_whole_array_mean_square(x, block):
+    # the blocked sum must form numpy's own pairwise partial sums, so the
+    # level is bitwise that of one np.mean over the whole array
+    with mock.patch.object(dsp, "_BLOCK_SAMPLES", block):
+        got = dsp._rms_db(x)
+    assert got == (oracles._frame_db(x) if len(x) else dsp.RMS_FLOOR_DBFS)
+
+
+def test_rms_db_long_signal_matches_whole_array_mean_square():
+    x = np.random.default_rng(5).standard_normal(5 * dsp._BLOCK_SAMPLES + 13)
+    assert dsp._rms_db(x) == oracles._frame_db(x)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 import synth
-from cogspeech import features
+from cogspeech import dsp, features
 from cogspeech.dsp import Signal
 from cogspeech.features import (extract_feature_sets, formant_bandwidths,
                                 jitter_shimmer_hnr, track_f0)
@@ -57,7 +57,7 @@ def speechlike(draw):
 
 
 # block sizes that split the frames of a signal at arbitrary places
-block_frames = st.sampled_from([3, 17, 64, features._BLOCK_FRAMES])
+block_frames = st.sampled_from([3, 17, 64, dsp._BLOCK_FRAMES])
 
 
 def assert_contour_matches(contour, values, mask):
@@ -69,7 +69,7 @@ def assert_contour_matches(contour, values, mask):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(x=speechlike(), block=block_frames)
 def test_track_f0_matches_per_frame_oracle(x, block):
-    with mock.patch.object(features, "_BLOCK_FRAMES", block):
+    with mock.patch.object(dsp, "_BLOCK_FRAMES", block):
         f0c = track_f0(x)
     values, voiced = oracles.f0_track(x.samples, FS)
     assert_contour_matches(f0c, values, voiced)
@@ -79,7 +79,7 @@ def test_track_f0_matches_per_frame_oracle(x, block):
 @given(x=speechlike(), block=block_frames)
 def test_jitter_shimmer_hnr_match_per_frame_oracle(x, block):
     f0c = track_f0(x)
-    with mock.patch.object(features, "_BLOCK_FRAMES", block):
+    with mock.patch.object(dsp, "_BLOCK_FRAMES", block):
         contours = jitter_shimmer_hnr(x, f0c)
     if not np.any(f0c.voiced_mask):
         assert all(len(c) == 0 for c in contours)
@@ -94,7 +94,7 @@ def test_jitter_shimmer_hnr_match_per_frame_oracle(x, block):
 @given(x=speechlike(), block=block_frames)
 def test_formants_match_per_frame_oracle(x, block):
     f0c = track_f0(x)
-    with mock.patch.object(features, "_BLOCK_FRAMES", block):
+    with mock.patch.object(dsp, "_BLOCK_FRAMES", block):
         contours = formant_bandwidths(x, f0c)
     want = oracles.formants(x.samples, FS, f0c.voiced_mask)
     for c in contours:

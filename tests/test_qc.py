@@ -1,8 +1,12 @@
 """Quality-control metrics and the strict-inequality gate."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from cogspeech import qc
 from cogspeech.dsp import Signal, make_sine
 from cogspeech.errors import ValidationError
 from cogspeech.qc import (
@@ -215,3 +219,34 @@ def test_thresholds_validation():
         QcThresholds(max_clip_ratio=1.5)
     with pytest.raises(ValidationError):
         QcThresholds(min_snr_db=float("nan"))
+
+
+# ---------------------------------------------------------------------------
+# One framing per recording, in bounded memory
+
+
+def test_measure_metrics_frames_the_recording_once():
+    x = bursty(-50.0, -20.0)
+    with mock.patch.object(qc, "_frame_levels",
+                           wraps=qc._frame_levels) as meter:
+        m = measure_metrics(x, rms_scope="active")
+    assert meter.call_count == 1
+    assert m.snr_db == estimate_snr_quantile(x)
+    assert m.activity_ratio == speech_activity_ratio(x)
+
+
+def _metrics_peak_mb(x: Signal) -> float:
+    tracemalloc.start()
+    try:
+        measure_metrics(x, rms_scope="active")
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_measure_metrics_peak_memory_bounded_in_length():
+    short = bursty(-50.0, -20.0, dur_s=30.0)
+    long = bursty(-50.0, -20.0, dur_s=120.0)
+    _metrics_peak_mb(short)  # one-off allocations of the first call
+    growth = (_metrics_peak_mb(long) - _metrics_peak_mb(short)) / 90.0
+    assert growth < 0.05, f"peak grows {growth:.3f} MB per second of audio"
