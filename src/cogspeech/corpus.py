@@ -262,6 +262,9 @@ def load_manifest(path) -> Manifest:
                 except ValueError:
                     raise ParseError(f"domain_range must be two numbers 'lo,hi', "
                                      f"got {value.strip()!r}", lineno) from None
+                if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                    raise ParseError(f"domain_range needs finite lo < hi, "
+                                     f"got {value.strip()!r}", lineno)
                 domain_range = (lo, hi)
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:

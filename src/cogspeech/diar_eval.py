@@ -23,9 +23,12 @@ from __future__ import annotations
 
 import csv
 import itertools
+import re
 import shlex
+import string
 import subprocess
 import tempfile
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -392,6 +395,21 @@ def expand_grid(schema: dict) -> list[GridPoint]:
     return points
 
 
+def _warn_unreferenced(schema: dict, template: str) -> None:
+    """Warn once per diarizer.* grid parameter the adapter template never
+    names: str.format drops it, so all its values run the same command."""
+    try:
+        fields = {re.split(r"[.\[]", name)[0]
+                  for _, name, _, _ in string.Formatter().parse(template) if name}
+    except ValueError:  # malformed template: every point's run reports it
+        return
+    for name in sorted(schema):
+        if (name.startswith(_DIARIZER_PREFIX)
+                and name[len(_DIARIZER_PREFIX):] not in fields):
+            warnings.warn(f"grid parameter {name!r} is not named in the "
+                          f"adapter template; its values change nothing")
+
+
 def _aggregate(per_session: list[dict]) -> dict:
     """Pool session scores: DER from summed components; JER, purity and
     coverage as plain session means (NaN sessions skipped)."""
@@ -453,6 +471,7 @@ def run_grid_search(schema: dict, sessions, adapter: DiarizerAdapter,
     if scoring is None:
         scoring = ScoringConfig()
     points = expand_grid(schema)
+    _warn_unreferenced(schema, adapter.command_template)
     tuning = [s for s in sessions if s.subject_id in split.tuning_subjects]
     validation = [s for s in sessions if s.subject_id in split.validation_subjects]
     stray = [s.session_id for s in sessions

@@ -11,6 +11,13 @@ Loudness follows the integrated-measurement convention: K-weighting,
 Alpha semantics of the spectral gate: bins below the noise threshold are
 multiplied by (1 - alpha), i.e. alpha is the attenuation fraction, so
 alpha = 0 leaves the signal untouched and alpha = 1 zeroes gated bins.
+
+Memory: the gate's STFT, gain, inverse FFT and overlap-add, the
+K-weighting filter and the meters all run in fixed blocks of frames or
+samples, with every sum taken in the same order as one whole-array pass,
+so the outputs are bitwise those of the unblocked forms. What grows with
+the recording is each stage's output and the noise profile's (frames x
+bins) magnitudes, which the exact per-bin quantile needs.
 """
 
 from __future__ import annotations
@@ -224,11 +231,6 @@ def _frame_levels(x: Signal, frame_s: float, hop_s: float
     return frames, np.maximum(db, RMS_FLOOR_DBFS)
 
 
-def _stft(x: np.ndarray, cfg: GateConfig) -> np.ndarray:
-    frames = _frame_signal(x, cfg.frame_len, cfg.hop)
-    return np.fft.rfft(frames * np.hanning(cfg.frame_len), axis=1)
-
-
 def estimate_noise_profile(x: Signal, cfg: GateConfig) -> np.ndarray:
     """Per-bin noise magnitude: the noise_quantile of STFT magnitudes
     across frames. A tone present in more than that fraction of frames
@@ -236,8 +238,14 @@ def estimate_noise_profile(x: Signal, cfg: GateConfig) -> np.ndarray:
     if len(x) < cfg.frame_len:
         raise ValidationError(f"signal ({len(x)} samples) shorter than one "
                               f"frame ({cfg.frame_len})")
-    mags = np.abs(_stft(x.samples, cfg))
-    return np.quantile(mags, cfg.noise_quantile, axis=0)
+    frames = _frame_signal(x.samples, cfg.frame_len, cfg.hop)
+    win = np.hanning(cfg.frame_len)
+    # the exact quantile needs every frame's magnitudes: one (frames x bins)
+    # array, partitioned in place
+    mags = np.empty((len(frames), cfg.frame_len // 2 + 1))
+    for b in _blocks(len(frames)):
+        mags[b] = np.abs(np.fft.rfft(frames[b] * win, axis=1))
+    return np.quantile(mags, cfg.noise_quantile, axis=0, overwrite_input=True)
 
 
 def spectral_gate(x: Signal, cfg: GateConfig | None = None) -> Signal:
@@ -255,28 +263,52 @@ def spectral_gate(x: Signal, cfg: GateConfig | None = None) -> Signal:
     profile = estimate_noise_profile(x, cfg)
     threshold = profile * 10.0 ** (cfg.threshold_margin_db / 20.0)
 
-    n = len(x)
-    pad = cfg.frame_len
-    padded = np.concatenate([np.zeros(pad), x.samples, np.zeros(pad + cfg.frame_len)])
-    win = np.hanning(cfg.frame_len)
-    frames = _frame_signal(padded, cfg.frame_len, cfg.hop)
-    spec = np.fft.rfft(frames * win, axis=1)
+    # Frames are taken from x behind frame_len zeros: frame m starts at
+    # padded position m * hop, and padded position p holds x[p - pad].
+    # Hop-wide chunk c of the padded axis sums the terms of frames
+    # c - k + 1 .. c, always in ascending frame order, so each sample's
+    # overlap-add runs exactly as a frame-by-frame loop would.  A chunk
+    # is final once its own frame is in; the k - 1 chunks after a block
+    # carry over to the next.
+    n, flen, hop = len(x), cfg.frame_len, cfg.hop
+    pad = flen
+    k = -(-flen // hop)
+    win = np.hanning(flen)
+    win_sq = np.zeros(k * hop)
+    win_sq[:flen] = win * win
+    out = np.empty(n)
+    carry = np.zeros((k - 1, hop))
+    carry_norm = np.zeros((k - 1, hop))
+    # frames that start before the last output sample
+    for b in _blocks(-(-(n + pad) // hop)):
+        nb, p0 = b.stop - b.start, b.start * hop
+        seg = np.zeros((nb - 1) * hop + flen)  # the block's padded samples
+        lo, hi = max(p0, pad), min(p0 + len(seg), pad + n)
+        seg[lo - p0:hi - p0] = x.samples[lo - pad:hi - pad]
+        spec = np.fft.rfft(_frame_signal(seg, flen, hop) * win, axis=1)
+        gain = np.where(np.abs(spec) < threshold[None, :], 1.0 - cfg.alpha, 1.0)
+        terms = np.zeros((nb, k * hop))
+        terms[:, :flen] = np.fft.irfft(spec * gain, n=flen, axis=1) * win
 
-    gain = np.where(np.abs(spec) < threshold[None, :], 1.0 - cfg.alpha, 1.0)
-    recon = np.fft.irfft(spec * gain, n=cfg.frame_len, axis=1)
+        acc = np.zeros((nb + k - 1, hop))
+        norm = np.zeros((nb + k - 1, hop))
+        acc[:k - 1] = carry
+        norm[:k - 1] = carry_norm
+        for d in range(k - 1, -1, -1):  # frame b.start + i - d into chunk i
+            acc[d:d + nb] += terms[:, d * hop:(d + 1) * hop]
+            norm[d:d + nb] += win_sq[d * hop:(d + 1) * hop]
+        carry, carry_norm = acc[nb:], norm[nb:]
 
-    out = np.zeros(len(padded))
-    norm = np.zeros(len(padded))
-    for m in range(frames.shape[0]):
-        lo = m * cfg.hop
-        out[lo:lo + cfg.frame_len] += recon[m] * win
-        norm[lo:lo + cfg.frame_len] += win * win
-    covered = norm > 1e-12
-    if not np.all(covered[pad:pad + n]):
-        raise ConfigError(f"frame/hop combination leaves gaps: frame_len="
-                          f"{cfg.frame_len} hop={cfg.hop}")
-    out[covered] /= norm[covered]
-    return Signal(out[pad:pad + n], x.sample_rate)
+        # the block's own chunks are final; write those inside x
+        lo, hi = max(p0, pad), min(p0 + nb * hop, pad + n)
+        if hi <= lo:
+            continue
+        done = norm[:nb].reshape(-1)[lo - p0:hi - p0]
+        if not np.all(done > 1e-12):
+            raise ConfigError(f"frame/hop combination leaves gaps: frame_len="
+                              f"{cfg.frame_len} hop={cfg.hop}")
+        out[lo - pad:hi - pad] = acc[:nb].reshape(-1)[lo - p0:hi - p0] / done
+    return Signal(out, x.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -338,12 +370,27 @@ def measure_loudness(x: Signal) -> LoudnessResult:
     if len(x) < block:
         return LoudnessResult(float("-inf"), 0)
 
+    # K-weighting in chunks with the filter state carried across; the
+    # running sum of squares is the sequential np.cumsum of the whole
+    # signal, continued from each chunk's carry, and only its values at
+    # the block edges are kept
     from scipy import signal as sps
-    weighted = sps.sosfilt(_k_weighting_sos(x.sample_rate), x.samples)
-    css = np.concatenate([[0.0], np.cumsum(np.square(weighted))])
+    sos = _k_weighting_sos(x.sample_rate)
+    zi = np.zeros((len(sos), 2))
     n_blocks = 1 + (len(x) - block) // step
     starts = step * np.arange(n_blocks)
-    powers = (css[starts + block] - css[starts]) / block
+    edges = (starts, starts + block)
+    css_at = (np.empty(n_blocks), np.empty(n_blocks))
+    carry = 0.0
+    for lo in range(0, len(x), _BLOCK_SAMPLES):
+        weighted, zi = sps.sosfilt(sos, x.samples[lo:lo + _BLOCK_SAMPLES], zi=zi)
+        css = np.cumsum(np.concatenate([[carry], np.square(weighted)]))
+        hi = lo + len(weighted)  # css[i] is the sum of the first lo + i squares
+        for idx, vals in zip(edges, css_at):
+            i0, i1 = np.searchsorted(idx, lo), np.searchsorted(idx, hi, "right")
+            vals[i0:i1] = css[idx[i0:i1] - lo]
+        carry = css[-1]
+    powers = (css_at[1] - css_at[0]) / block
 
     with np.errstate(divide="ignore"):
         levels = _LOUDNESS_OFFSET + 10.0 * np.log10(powers)
@@ -384,7 +431,9 @@ def normalize_loudness(x: Signal, target_lufs: float = -23.0) -> NormalizeResult
         gain_db=float(gain_db),
         input_lufs=measured.integrated_lufs,
         output_lufs=after.integrated_lufs,
-        clipped_samples=int(np.count_nonzero(np.abs(y) > 1.0)),
+        clipped_samples=sum(
+            int(np.count_nonzero(np.abs(y[lo:lo + _BLOCK_SAMPLES]) > 1.0))
+            for lo in range(0, len(y), _BLOCK_SAMPLES)),
     )
 
 

@@ -32,7 +32,7 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     if samples.ndim == 2:
         samples = samples.mean(axis=1)
     if raw_dtype in _INT_SCALE:
-        samples = samples / _INT_SCALE[raw_dtype]
+        samples /= _INT_SCALE[raw_dtype]  # in place: no third full-length array
     return samples, int(rate)
 
 

@@ -4,10 +4,11 @@ Everything here is deliberately written the dumb way: frame-by-frame
 counting for diarization scores, explicit normal equations for ridge,
 covariance eigendecomposition for PCA, one np.concatenate per junction
 for the concatenated stream, sequential minimal optimization
-(one pair of dual variables per step) for the linear SVM, and one frame
+(one pair of dual variables per step) for the linear SVM, one frame
 at a time for the acoustic descriptors (direct autocorrelation, a full
 scan of the pulses per frame, a scalar Levinson-Durbin fit and np.roots
-per frame). Slow and obvious beats fast and clever for an oracle.
+per frame), and whole-signal arrays for the spectral gate and the
+loudness meter. Slow and obvious beats fast and clever for an oracle.
 """
 
 import itertools
@@ -520,3 +521,66 @@ def formants(samples, fs, voiced, order=None, frame_s=0.025, hop_s=0.010,
                     out[name][0][i] = v
                     out[name][1][i] = True
     return out
+
+
+# ---------------------------------------------------------------------------
+# Conditioning oracles: the spectral gate and the loudness meter on
+# whole-signal arrays, with a frame-by-frame overlap-add.
+
+def _stft_mags(samples, frame_len, hop):
+    frames = np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::hop]
+    return np.abs(np.fft.rfft(frames * np.hanning(frame_len), axis=1))
+
+
+def noise_profile(samples, cfg):
+    """The noise_quantile of every frame's STFT magnitude, per bin."""
+    return np.quantile(_stft_mags(samples, cfg.frame_len, cfg.hop),
+                       cfg.noise_quantile, axis=0)
+
+
+def spectral_gate(samples, cfg):
+    """Gated samples; raises ValueError where the frames leave a sample
+    of the signal with zero window weight."""
+    threshold = noise_profile(samples, cfg) * 10.0 ** (cfg.threshold_margin_db / 20.0)
+    n, pad, flen = len(samples), cfg.frame_len, cfg.frame_len
+    padded = np.concatenate([np.zeros(pad), samples, np.zeros(pad + flen)])
+    win = np.hanning(flen)
+    frames = np.lib.stride_tricks.sliding_window_view(padded, flen)[::cfg.hop]
+    spec = np.fft.rfft(frames * win, axis=1)
+    gain = np.where(np.abs(spec) < threshold[None, :], 1.0 - cfg.alpha, 1.0)
+    recon = np.fft.irfft(spec * gain, n=flen, axis=1)
+    out = np.zeros(len(padded))
+    norm = np.zeros(len(padded))
+    for m in range(frames.shape[0]):
+        lo = m * cfg.hop
+        out[lo:lo + flen] += recon[m] * win
+        norm[lo:lo + flen] += win * win
+    covered = norm > 1e-12
+    if not np.all(covered[pad:pad + n]):
+        raise ValueError("frames leave gaps")
+    out[covered] /= norm[covered]
+    return out[pad:pad + n]
+
+
+def integrated_loudness(samples, fs, sos):
+    """(LUFS, gated block count) from one K-weighted array and one
+    running sum of squares; sos is the K-weighting filter at fs."""
+    from scipy import signal as sps
+    block, step = int(round(0.4 * fs)), int(round(0.1 * fs))
+    if len(samples) < block:
+        return float("-inf"), 0
+    weighted = sps.sosfilt(sos, samples)
+    css = np.concatenate([[0.0], np.cumsum(np.square(weighted))])
+    starts = step * np.arange(1 + (len(samples) - block) // step)
+    powers = (css[starts + block] - css[starts]) / block
+    with np.errstate(divide="ignore"):
+        levels = -0.691 + 10.0 * np.log10(powers)
+    abs_pass = levels > -70.0
+    if not np.any(abs_pass):
+        return float("-inf"), 0
+    rel = -0.691 + 10.0 * np.log10(np.mean(powers[abs_pass])) - 10.0
+    gated = abs_pass & (levels > rel)
+    if not np.any(gated):
+        return float("-inf"), 0
+    return (float(-0.691 + 10.0 * np.log10(np.mean(powers[gated]))),
+            int(np.count_nonzero(gated)))

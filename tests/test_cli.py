@@ -414,6 +414,34 @@ def test_cv_custom_grid_file(corpus, feature_csv, tmp_path):
     assert payload["majority_vote_config"] == "ridge(lam=1.0), pca=passthrough"
 
 
+def _outputs(directory: Path) -> dict:
+    """Every file a stage wrote, by name, except the run manifest (which
+    records the --jobs argument)."""
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())
+            if p.is_file() and p.name != "run_manifest.json"}
+
+
+def test_audio_stages_replay_across_jobs(corpus, preprocessed, stream_dir,
+                                         feature_csv, tmp_path):
+    pre, streams = tmp_path / "pre", tmp_path / "streams"
+    feats = tmp_path / "feat" / "features.csv"
+    assert main(["preprocess", "--manifest", str(corpus["manifest"]),
+                 "--outdir", str(pre), "--jobs", "1"]) == 0
+    assert main(["streams", "--manifest", str(corpus["manifest"]),
+                 "--wav-dir", str(pre),
+                 "--rttm-dir", str(corpus["root"] / "rttm"),
+                 "--outdir", str(streams), "--jobs", "1"]) == 0
+    assert main(["features", "--manifest", str(corpus["manifest"]),
+                 "--prosody-dir", str(streams), "--concat-dir", str(streams),
+                 "--set", "EG_ALL", "--out", str(feats), "--jobs", "1"]) == 0
+    for one, two in ((pre, preprocessed), (streams, stream_dir),
+                     (feats.parent, feature_csv.parent)):
+        got, want = _outputs(one), _outputs(two)
+        assert sorted(got) == sorted(want)
+        assert [n for n in want if got[n] != want[n]] == []
+    assert "audit.jsonl" in _outputs(pre) and "features.csv" in _outputs(feats.parent)
+
+
 def test_cv_fit_log_replays_across_jobs(corpus, feature_csv, tmp_path):
     logs = []
     for jobs in ("1", "2"):
@@ -541,6 +569,16 @@ def test_malformed_manifest_header_is_input_error(corpus, tmp_path, capsys):
                  "--out", str(tmp_path / "qc.jsonl")]) == 4
     err = capsys.readouterr().err
     assert "line 1" in err and "Traceback" not in err
+
+
+def test_reversed_domain_range_is_input_error(corpus, tmp_path, capsys):
+    bad = tmp_path / "m.csv"
+    bad.write_text(corpus["manifest"].read_text().replace(
+        "# domain_range = 40, 160", "# domain_range = 160, 40"))
+    assert main(["qc", "--manifest", str(bad),
+                 "--out", str(tmp_path / "qc.jsonl")]) == 4
+    err = capsys.readouterr().err
+    assert "line 1" in err and "out_of_range" not in err
 
 
 NOT_JSON = "{not json"

@@ -118,7 +118,12 @@ def test_load_manifest_rejections(tmp_path):
 
 @pytest.mark.parametrize("header", ["# domain_range=abc\n",
                                     "# domain_range=0\n",
-                                    "# domain_range=0,1,2\n"])
+                                    "# domain_range=0,1,2\n",
+                                    # reversed, empty or non-finite
+                                    "# domain_range = 160, 40\n",
+                                    "# domain_range = 40, 40\n",
+                                    "# domain_range = nan, 40\n",
+                                    "# domain_range = 40, inf\n"])
 def test_malformed_domain_range_header_is_parse_error(tmp_path, header):
     p = tmp_path / "m.csv"
     p.write_text("# site=a\n" + _manifest_text([GOOD_ROW], header=header))

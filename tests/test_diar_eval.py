@@ -460,6 +460,23 @@ def test_grid_failed_points_marked_and_ranked_last(tiny_grid_corpus, tmp_path):
     assert results[1].error
 
 
+def test_grid_warns_once_per_parameter_the_template_never_names(
+        tiny_grid_corpus, tmp_path):
+    root = tiny_grid_corpus["root"]
+    adapter = DiarizerAdapter(
+        "cp " + str(root) + "/{session_id}.rttm {output} # {used}")
+    with pytest.warns(UserWarning) as caught:
+        results = run_grid_search(
+            {"diarizer.used": [1], "diarizer.pad": [0, 1],
+             "diarizer.tag": ["a", "b"]},
+            tiny_grid_corpus["sessions"], adapter, tiny_grid_corpus["split"],
+            workdir=tmp_path)
+    messages = sorted(str(w.message) for w in caught)
+    assert len(messages) == 2
+    assert "'diarizer.pad'" in messages[0] and "'diarizer.tag'" in messages[1]
+    assert len(results) == 4 and all(r.status == "ok" for r in results)
+
+
 def test_grid_all_failed_raises(tiny_grid_corpus, tmp_path):
     adapter = DiarizerAdapter("exit 7")
     with pytest.raises(AdapterError, match="every grid point failed"):

@@ -1,5 +1,6 @@
 """Filters, spectral gate, and loudness measurement."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -200,6 +201,91 @@ def test_gate_deterministic():
     assert np.array_equal(a, b)
 
 
+# The gate runs in blocks of dsp._BLOCK_FRAMES frames and must equal the
+# whole-array reference bit for bit, at every block edge.
+
+RATES = [8000, 11025, 16000, 44100]
+GATE_BLOCKS = [3, 17, 128]
+
+
+@st.composite
+def gate_cases(draw):
+    """(samples, rate, config, frames per block). The length lands on one
+    frame, on a last block of one frame, on an exactly full last block
+    (counting the gate's frames or the noise profile's), or anywhere."""
+    fs = draw(st.sampled_from(RATES))
+    block = draw(st.sampled_from(GATE_BLOCKS))
+    shape = draw(st.sampled_from(["default", "hop_is_frame", "uneven"]))
+    if shape == "default":
+        cfg = GateConfig.at_rate(fs, alpha=draw(st.sampled_from([0.0, 0.3, 1.0])))
+    else:
+        flen = draw(st.integers(16, 600))
+        hop = flen if shape == "hop_is_frame" else draw(
+            st.integers(max(1, flen // 6), flen - 1).filter(lambda h: flen % h))
+        cfg = GateConfig(frame_len=flen, hop=hop)
+    flen, hop = cfg.frame_len, cfg.hop
+    frames = draw(st.integers(0, 3)) * block + draw(st.sampled_from(
+        [1, block, draw(st.integers(1, block))]))
+    nudge = draw(st.integers(0, hop - 1))
+    n = draw(st.sampled_from([
+        flen,
+        frames * hop - flen - nudge,          # frames gate frames
+        flen + (frames - 1) * hop + nudge,    # frames noise-profile frames
+    ]))
+    n = max(n, flen)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    x = rng.standard_normal(n) * 0.1
+    x[int(rng.integers(0, n)):][:int(rng.integers(0, n + 1))] *= 1e-3
+    return x, fs, cfg, block
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(case=gate_cases())
+def test_blocked_gate_matches_whole_array_reference(case):
+    x, fs, cfg, block = case
+    with mock.patch.object(dsp, "_BLOCK_FRAMES", block):
+        profile = estimate_noise_profile(Signal(x, fs), cfg)
+        try:
+            got = spectral_gate(Signal(x, fs), cfg).samples
+        except ConfigError:
+            got = None
+    assert np.array_equal(profile, oracles.noise_profile(x, cfg))
+    try:
+        want = oracles.spectral_gate(x, cfg)
+    except ValueError:
+        want = None
+    if want is None or got is None:
+        assert got is None and want is None
+    else:
+        assert np.array_equal(got, want)
+    if cfg.hop == cfg.frame_len:
+        assert got is None  # Hann zeros at every frame edge
+
+
+def _peak_alloc_mb(fn, x) -> float:
+    tracemalloc.start()
+    try:
+        fn(x)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def _peak_growth_mb_per_s(fn) -> float:
+    rng = np.random.default_rng(4)
+    short = Signal(rng.standard_normal(30 * FS) * 0.1, FS)
+    long = Signal(rng.standard_normal(120 * FS) * 0.1, FS)
+    _peak_alloc_mb(fn, short)  # one-off allocations of the first call
+    return (_peak_alloc_mb(fn, long) - _peak_alloc_mb(fn, short)) / 90.0
+
+
+def test_spectral_gate_peak_memory_bounded_in_length():
+    # the output and the noise profile's magnitudes (0.16 MB/s at 16 kHz,
+    # never live at once) are the only arrays that grow with the signal
+    growth = _peak_growth_mb_per_s(spectral_gate)
+    assert growth <= 0.25, f"peak grows {growth:.3f} MB per second of audio"
+
+
 # ---------------------------------------------------------------------------
 # Loudness
 
@@ -257,6 +343,36 @@ def test_normalize_attenuation_no_clipping():
 def test_normalize_below_gate_rejected():
     with pytest.raises(ValidationError):
         normalize_loudness(Signal(np.zeros(FS), FS))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(fs=st.sampled_from(RATES),
+       block=st.sampled_from([128, 1000, dsp._BLOCK_SAMPLES]),
+       chunks=st.integers(0, 3), tail=st.sampled_from(["none", "one", "any"]),
+       data=st.data())
+def test_blocked_loudness_matches_whole_array_reference(fs, block, chunks,
+                                                        tail, data):
+    extra = {"none": 0, "one": 1,
+             "any": data.draw(st.integers(0, block - 1))}[tail]
+    n = chunks * block + extra
+    if n < 0.4 * fs:  # shorter than one gating block, or exactly one
+        n = data.draw(st.sampled_from([n, int(round(0.4 * fs))]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    x = rng.standard_normal(n) * 10.0 ** data.draw(st.floats(-4.5, 0.0))
+    x[int(rng.integers(0, n + 1)):][:int(rng.integers(0, n + 1))] = 0.0
+    with mock.patch.object(dsp, "_BLOCK_SAMPLES", block):
+        got = measure_loudness(Signal(x, fs))
+        want = oracles.integrated_loudness(x, fs, dsp._k_weighting_sos(fs))
+        assert (got.integrated_lufs, got.gated_block_count) == want
+        if not got.below_gate:
+            res = normalize_loudness(Signal(x, fs), target_lufs=-3.0)
+            assert res.clipped_samples == np.count_nonzero(
+                np.abs(res.signal.samples) > 1.0)
+
+
+def test_measure_loudness_peak_memory_bounded_in_length():
+    growth = _peak_growth_mb_per_s(measure_loudness)
+    assert growth <= 0.05, f"peak grows {growth:.3f} MB per second of audio"
 
 
 # ---------------------------------------------------------------------------
