@@ -25,6 +25,7 @@ next to its report: one sorted-key JSON line per fit.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -191,9 +192,8 @@ def _cmd_qc(args) -> int:
             fh.write(json.dumps(line) + "\n")
             any_fail = any_fail or report.overall == "fail"
     if args.summary:
-        import csv as _csv
         with open(args.summary, "w", newline="") as fh:
-            w = _csv.writer(fh)
+            w = csv.writer(fh)
             w.writerow(["session_id", "overall", "duration_s", "rms_dbfs",
                         "clip_ratio", "snr_db", "activity_ratio",
                         "review_reasons"])
@@ -570,9 +570,8 @@ def _cmd_importance(args) -> int:
     ranking = model.svm_feature_importance(pipe, data.feature_names)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    import csv as _csv
     with open(out, "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["rank", "feature", "weight"])
         for rank, (name, weight) in enumerate(ranking, 1):
             w.writerow([rank, name, repr(weight)])
@@ -615,18 +614,18 @@ def _cmd_report(args) -> int:
     outdir = Path(args.out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    import csv as _csv
+    header = ("Level-Target", "Input Test", "Feature", "Metric", "DEV Set",
+              "HO Set")
+    table = [(r["level_target"], r["input_test"], r["feature"], r["metric"],
+              f"{r['dev_mean']:.3f} +- {r['dev_sd']:.3f}",
+              "" if r["holdout"] is None else f"{r['holdout']:.3f}")
+             for r in rows]
     with open(outdir / "hierarchy_table.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
-        w.writerow(["Level-Target", "Input Test", "Feature", "Metric",
-                    "DEV Set", "HO Set"])
-        for r in rows:
-            dev = f"{r['dev_mean']:.3f} +- {r['dev_sd']:.3f}"
-            ho = "" if r["holdout"] is None else f"{r['holdout']:.3f}"
-            w.writerow([r["level_target"], r["input_test"], r["feature"],
-                        r["metric"], dev, ho])
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(table)
     with open(outdir / "per_level_lines.csv", "w", newline="") as fh:
-        w = _csv.writer(fh)
+        w = csv.writer(fh)
         w.writerow(["input_test", "level", "target", "dev_mean", "holdout"])
         for r in sorted(rows, key=lambda r: (r["input_test"], r["level"])):
             w.writerow([r["input_test"], r["level"], r["target"],
@@ -635,14 +634,7 @@ def _cmd_report(args) -> int:
     _write_run_manifest(outdir, "report", vars(args),
                         list(args.cv) + list(args.holdout or []))
     widths = (16, 12, 10, 18, 22, 8)
-    header = ("Level-Target", "Input Test", "Feature", "Metric", "DEV Set",
-              "HO Set")
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        dev = f"{r['dev_mean']:.3f} +- {r['dev_sd']:.3f}"
-        ho = "" if r["holdout"] is None else f"{r['holdout']:.3f}"
-        cells = (r["level_target"], r["input_test"], r["feature"], r["metric"],
-                 dev, ho)
+    for cells in (header, *table):
         print("  ".join(str(c).ljust(w) for c, w in zip(cells, widths)))
     return EXIT_OK
 

@@ -276,16 +276,10 @@ def score_pair(ref: Timeline, hyp: Timeline, cfg: ScoringConfig | None = None
 # ---------------------------------------------------------------------------
 # Grid search
 
-# grid keys consumed by the preprocessing chain; anything else must be
+# PreprocessConfig fields a grid may set; anything else must be
 # prefixed "diarizer." and is forwarded to the adapter template
-_DSP_KEYS = {
-    "highpass_order": "highpass_order",
-    "highpass_cutoff_hz": "highpass_cutoff_hz",
-    "gate_alpha": "gate_alpha",
-    "gate_noise_quantile": "gate_noise_quantile",
-    "gate_margin_db": "gate_margin_db",
-    "loudness_target_lufs": "loudness_target_lufs",
-}
+_DSP_KEYS = ("highpass_order", "highpass_cutoff_hz", "gate_alpha",
+             "gate_noise_quantile", "gate_margin_db", "loudness_target_lufs")
 _DIARIZER_PREFIX = "diarizer."
 
 
@@ -298,9 +292,7 @@ class GridPoint:
         return dict(self.params)
 
     def dsp_config(self) -> PreprocessConfig:
-        kwargs = {field: value for name, value in self.params
-                  if (field := _DSP_KEYS.get(name))}
-        return PreprocessConfig(**kwargs)
+        return PreprocessConfig(**dict(self.dsp_key()))
 
     def dsp_key(self) -> tuple:
         return tuple((n, v) for n, v in self.params if n in _DSP_KEYS)

@@ -217,6 +217,12 @@ def _blocks(n: int):
             for lo in range(0, n, _BLOCK_FRAMES))
 
 
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, stops) of the runs of True in a boolean array."""
+    edges = np.diff(np.concatenate([[0], mask.astype(np.int8), [0]]))
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+
+
 def _frame_levels(x: Signal, frame_s: float, hop_s: float
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Zero-copy frame view of the samples (one frame_s frame every hop_s)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Signal, _blocks, _frame_levels
+from .dsp import Signal, _blocks, _frame_levels, _runs
 from .errors import InputError, ValidationError
 
 FRAME_S = 0.025
@@ -119,12 +119,6 @@ class FeatureVector:
 
     def array(self) -> np.ndarray:
         return np.array(list(self.values.values()), dtype=np.float64)
-
-
-def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, stops) of the runs of True in a boolean array."""
-    edges = np.diff(np.concatenate([[0], mask.astype(np.int8), [0]]))
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
 def _normalized_acf(frames: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
@@ -569,8 +563,7 @@ def _voicing_stats(f0c: LldContour) -> dict:
     n = len(mask)
     if n == 0:
         return {"egx.voiced.ratio": 0.0, "egx.voiced_run.rate_per_s": 0.0}
-    runs = int(np.count_nonzero(np.diff(np.concatenate([[0], mask.astype(np.int8)]))
-                                == 1))
+    runs = len(_runs(mask)[0])
     duration = n * f0c.frame_s
     return {
         "egx.voiced.ratio": float(np.mean(mask)),

@@ -3,7 +3,8 @@ subject-disjoint nested cross-validation protocol.
 
 Every fit is logged with the subject sets that fed it and the subject
 sets it was evaluated on, so leakage is something the test suite can
-prove about executed fits rather than trust from the fold plan.
+prove about executed fits rather than trust from the fold plan. Each
+training set fits the scaler once and each PCA mode once.
 
 Estimators are deliberately small and closed over: ridge by its normal
 equations, the linear SVM by a primal-dual interior-point method on the
@@ -19,6 +20,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 from scipy.linalg import lapack
@@ -598,16 +600,28 @@ class FittedPipeline:
         return svm_predict(self.model, Z)
 
 
-def fit_pipeline(X, y, config: PipelineConfig) -> FittedPipeline:
+def _fitter(X, y):
+    """Fit the z-scaler on one training set; the returned fit(config)
+    fits each PCA mode once, on first use, then config's estimator."""
     scaler = zscore_fit(X)
     Z = zscore_apply(scaler, X)
-    pca = pca_fit(Z, config.pca)
-    Zp = pca_apply(pca, Z)
-    if config.estimator == "ridge":
-        model = ridge_fit(Zp, y, config.lam)
-    else:
-        model = svm_fit(Zp, y, config.C, config.class_weighting)
-    return FittedPipeline(config=config, scaler=scaler, pca=pca, model=model)
+    reduced = {}  # PCA mode -> (PcaModel, projected Z)
+
+    def fit(config: PipelineConfig) -> FittedPipeline:
+        if config.pca not in reduced:
+            pca = pca_fit(Z, config.pca)
+            reduced[config.pca] = pca, pca_apply(pca, Z)
+        pca, Zp = reduced[config.pca]
+        if config.estimator == "ridge":
+            model = ridge_fit(Zp, y, config.lam)
+        else:
+            model = svm_fit(Zp, y, config.C, config.class_weighting)
+        return FittedPipeline(config=config, scaler=scaler, pca=pca, model=model)
+    return fit
+
+
+def fit_pipeline(X, y, config: PipelineConfig) -> FittedPipeline:
+    return _fitter(X, y)(config)
 
 
 # ---------------------------------------------------------------------------
@@ -688,14 +702,6 @@ def _simplicity_key(index: int, config: PipelineConfig):
     return (0 if config.pca == "passthrough" else 1, index)
 
 
-def _convergence_warning(where: str, pipe: FittedPipeline) -> str | None:
-    model = pipe.model
-    if isinstance(model, SvmModel) and not model.converged:
-        return (f"{where}: SVM did not converge after {model.iterations} "
-                f"iterations")
-    return None
-
-
 def nested_cv(data: Dataset, target: TargetSpec, grid=None,
               plan: FoldPlan | None = None, seed: int = 0, jobs: int = 1
               ) -> tuple[CvReport, list[FitRecord]]:
@@ -724,80 +730,73 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
             labels = {s: float(v) for s, v in zip(data.subject_ids, data.y)}
         plan = make_fold_plan(data.subject_ids, seed=seed, labels=labels)
 
-    fit_log: list[FitRecord] = []
-    notes: list[str] = []
+    def fit_split(fold: int, inner: int | None, indices) -> list:
+        """Fit grid[c], c in indices, on fold's outer training set less
+        inner fold `inner` (if any) and score on the held-out subjects:
+        (FitRecord, metrics or None, warning or None) per c."""
+        held = frozenset(plan.outer[fold] if inner is None
+                         else plan.inner[fold][inner])
+        train = plan.outer_train_subjects(fold) - held
+        tr, te = data.rows_for(train), data.rows_for(held)
+        stage = "outer" if inner is None else "inner"
+        tag = stage if inner is None else f"inner {inner}"
+        fit, out = None, []
+        for c in indices:
+            record = FitRecord(stage=stage, outer_fold=fold, inner_fold=inner,
+                               config_index=c, train_subjects=train,
+                               eval_subjects=held)
+            where = f"fold {fold} config {c} {tag}"
+            try:
+                if inner is not None and not (tr.any() and te.any()):
+                    raise ValidationError("empty side")
+                fit = fit or _fitter(data.X[tr], data.y[tr])
+                pipe = fit(grid[c])
+            except ValidationError as exc:
+                if inner is None:
+                    raise
+                out.append((record, None, f"{where} skipped: {exc}"))
+                continue
+            note = None
+            if isinstance(pipe.model, SvmModel) and not pipe.model.converged:
+                note = (f"{where}: SVM did not converge after "
+                        f"{pipe.model.iterations} iterations")
+            metrics = _eval_metrics(target.kind, data.y[te],
+                                    pipe.predict(data.X[te]))
+            out.append((record, metrics, note))
+        return out
 
-    n_outer = len(plan.outer)
-    n_inner = len(plan.inner[0])
-    # the configs fitted on one (fold, inner) split share its subject sets
-    # and row masks, so the fit log holds one copy per split
-    splits = {}
-    for f in range(n_outer):
-        outer_train = plan.outer_train_subjects(f)
-        for i in range(n_inner):
-            val = frozenset(plan.inner[f][i])
-            train = outer_train - val
-            splits[f, i] = (train, val, data.rows_for(train), data.rows_for(val))
+    n_outer, n_inner = len(plan.outer), len(plan.inner[0])
+    every = range(len(grid))
+    pairs = [(f, i) for f in range(n_outer) for i in range(n_inner)]
+    outcomes = pmap(lambda p: fit_split(*p, every), pairs, jobs)
+    fitted = dict(zip(pairs, outcomes))
 
-    def run_unit(fold: int, cfg_idx: int, inner_idx: int):
-        """Fit grid[cfg_idx] on (outer-train minus inner fold), score on
-        the inner fold. Returns (metric or None, warning or None,
-        FitRecord)."""
-        train_subjects, val_subjects, tr, va = splits[fold, inner_idx]
-        record = FitRecord(stage="inner", outer_fold=fold, inner_fold=inner_idx,
-                           config_index=cfg_idx, train_subjects=train_subjects,
-                           eval_subjects=val_subjects)
-        where = f"fold {fold} config {cfg_idx} inner {inner_idx}"
-        if not tr.any() or not va.any():
-            return None, f"{where} skipped: empty side", record
-        try:
-            pipe = fit_pipeline(data.X[tr], data.y[tr], grid[cfg_idx])
-        except ValidationError as exc:
-            return None, f"{where} skipped: {exc}", record
-        metrics = _eval_metrics(target.kind, data.y[va], pipe.predict(data.X[va]))
-        return (_inner_metric(target.kind, metrics),
-                _convergence_warning(where, pipe), record)
-
-    units = [(f, c, i) for f in range(n_outer)
-             for c in range(len(grid)) for i in range(n_inner)]
-    scores = np.full((n_outer, len(grid), n_inner), np.nan)
-
-    outcomes = pmap(lambda u: run_unit(*u), units, jobs)
-    for (f, c, i), (metric, note, record) in zip(units, outcomes):
-        fit_log.append(record)
-        if note is not None:
-            notes.append(note)
-        if metric is not None:
-            scores[f, c, i] = metric
-
+    # the inner fits in (fold, config, inner) order; outer refits follow
+    units = [fitted[f, i][c]
+             for f, c, i in product(range(n_outer), every, range(n_inner))]
+    scores = np.array([np.nan if metrics is None
+                       else _inner_metric(target.kind, metrics)
+                       for _, metrics, _ in units])
+    scores = scores.reshape(n_outer, len(grid), n_inner)
     folds = []
     for f in range(n_outer):
         config_means = np.full(len(grid), -np.inf)
-        for c in range(len(grid)):
+        for c in every:
             vals = scores[f, c][~np.isnan(scores[f, c])]
             if vals.size:
                 config_means[c] = float(vals.mean())
         best = int(np.argmax(config_means))  # ties: lowest index
         if not np.isfinite(config_means[best]):
             raise ValidationError(f"outer fold {f}: no config could be scored")
-        test_subjects = frozenset(plan.outer[f])
-        train_subjects = plan.outer_train_subjects(f)
-        tr = data.rows_for(train_subjects)
-        te = data.rows_for(test_subjects)
-        pipe = fit_pipeline(data.X[tr], data.y[tr], grid[best])
-        note = _convergence_warning(f"fold {f} config {best} outer", pipe)
-        if note is not None:
-            notes.append(note)
-        fit_log.append(FitRecord(stage="outer", outer_fold=f, inner_fold=None,
-                                 config_index=best,
-                                 train_subjects=train_subjects,
-                                 eval_subjects=test_subjects))
-        metrics = _eval_metrics(target.kind, data.y[te], pipe.predict(data.X[te]))
+        units += fit_split(f, None, [best])
         folds.append(FoldOutcome(fold=f, best_config_index=best,
-                                 best_config=grid[best], test_metrics=metrics,
+                                 best_config=grid[best],
+                                 test_metrics=units[-1][1],
                                  inner_scores=tuple(float(v) if np.isfinite(v)
                                                     else float("nan")
                                                     for v in config_means)))
+    fit_log = [record for record, _, _ in units]
+    notes = [note for _, _, note in units if note is not None]
 
     summary = {}
     for key in folds[0].test_metrics:

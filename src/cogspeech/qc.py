@@ -22,6 +22,10 @@ from .errors import ValidationError
 # to threshold against (continuous tone, pure silence).
 ACTIVITY_FLOOR_DBFS = -60.0
 _HOMOGENEOUS_SPREAD_DB = 3.0
+# Framing and level quantiles of the SNR and speech-activity estimates.
+_FRAME_S, _HOP_S = 0.025, 0.010
+_SPEECH_Q, _NOISE_Q = 0.95, 0.15
+_ACTIVITY_MARGIN_DB = 6.0
 
 
 def rms_dbfs(x: Signal) -> float:
@@ -46,25 +50,31 @@ def _active_frames(db: np.ndarray, noise_q: float, margin_db: float
     """The threshold rule of speech_activity_ratio, which also picks the
     frames of the active-scope RMS in measure_metrics."""
     lo = float(np.quantile(db, noise_q))
-    hi = float(np.quantile(db, 0.95))
+    hi = float(np.quantile(db, _SPEECH_Q))
     if hi - lo < _HOMOGENEOUS_SPREAD_DB:
         return db > ACTIVITY_FLOOR_DBFS
     return db > lo + margin_db
 
 
-def estimate_snr_quantile(x: Signal, frame_s: float = 0.025, hop_s: float = 0.010,
-                          speech_q: float = 0.95, noise_q: float = 0.15) -> float:
+def _snr(db: np.ndarray, speech_q: float, noise_q: float) -> float:
+    return float(np.quantile(db, speech_q) - np.quantile(db, noise_q))
+
+
+def estimate_snr_quantile(x: Signal, frame_s: float = _FRAME_S,
+                          hop_s: float = _HOP_S, speech_q: float = _SPEECH_Q,
+                          noise_q: float = _NOISE_Q) -> float:
     """Reference-free SNR: spread between the speech_q and noise_q
     quantiles of framewise RMS in dB."""
     if x.duration_s < 1.0:
         raise ValidationError(f"need at least 1 s for SNR estimation, got "
                               f"{x.duration_s:.3f} s")
     _, db = _frame_levels(x, frame_s, hop_s)
-    return float(np.quantile(db, speech_q) - np.quantile(db, noise_q))
+    return _snr(db, speech_q, noise_q)
 
 
-def speech_activity_ratio(x: Signal, frame_s: float = 0.025, hop_s: float = 0.010,
-                          noise_q: float = 0.15, margin_db: float = 6.0) -> float:
+def speech_activity_ratio(x: Signal, frame_s: float = _FRAME_S,
+                          hop_s: float = _HOP_S, noise_q: float = _NOISE_Q,
+                          margin_db: float = _ACTIVITY_MARGIN_DB) -> float:
     """Fraction of frames whose RMS clears the noise quantile by margin_db.
 
     Level-homogeneous signals (quantile spread under 3 dB) have no noise
@@ -177,9 +187,9 @@ def measure_metrics(x: Signal, t: QcThresholds | None = None,
     if duration >= 1.0:
         # one framing for the defaults of estimate_snr_quantile and
         # speech_activity_ratio
-        _, db = _frame_levels(x, 0.025, 0.010)
-        snr = float(np.quantile(db, 0.95) - np.quantile(db, 0.15))
-        active = _active_frames(db, 0.15, 6.0)
+        _, db = _frame_levels(x, _FRAME_S, _HOP_S)
+        snr = _snr(db, _SPEECH_Q, _NOISE_Q)
+        active = _active_frames(db, _NOISE_Q, _ACTIVITY_MARGIN_DB)
         activity = float(np.mean(active))
         if rms_scope == "active":
             level = RMS_FLOOR_DBFS

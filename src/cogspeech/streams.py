@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Timeline
-from .dsp import Signal, _rms_db
+from .dsp import Signal, _rms_db, _runs
 from .errors import ValidationError
 
 CROSSFADE_MS_DEFAULT = 10.0
@@ -62,10 +62,7 @@ def build_prosody_preserved(x: Signal, tl: Timeline, participant: str,
 
     gain = np.where(masked, 0.0, 1.0)
     taper_n = int(round(taper_s * fs))
-    m8 = masked.astype(np.int8)
-    starts = np.flatnonzero(np.diff(np.concatenate([[0], m8])) == 1)
-    ends = np.flatnonzero(np.diff(np.concatenate([m8, [0]])) == -1) + 1
-    for a, b in zip(starts, ends):
+    for a, b in zip(*_runs(masked)):
         k = min(taper_n, (b - a) // 2)
         if k <= 0:
             continue

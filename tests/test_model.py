@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import warnings as _warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -589,12 +590,32 @@ def test_nested_cv_reports_unconverged_svm_fits(monkeypatch):
 
 
 def test_nested_cv_jobs_do_not_change_report():
+    for data, target in (
+            (synth.planted_regression(40, seed=5),
+             TargetSpec(3, "cerad_total", "regression")),
+            (synth.planted_classification(40, seed=5),
+             TargetSpec(3, "mci", "classification"))):
+        r1, log1 = nested_cv(data, target, seed=3, jobs=1)
+        r4, log4 = nested_cv(data, target, seed=3, jobs=4)
+        assert json.dumps(r1.to_dict(), sort_keys=True) == \
+            json.dumps(r4.to_dict(), sort_keys=True)
+        assert r1.warnings == r4.warnings
+        assert [r.to_dict() for r in log1] == [r.to_dict() for r in log4]
+
+
+def test_nested_cv_fits_scaler_and_pca_once_per_training_set():
+    import cogspeech.model as model_mod
     data = synth.planted_regression(40, seed=5)
-    target = TargetSpec(3, "cerad_total", "regression")
-    r1, _ = nested_cv(data, target, seed=3, jobs=1)
-    r4, _ = nested_cv(data, target, seed=3, jobs=4)
-    assert json.dumps(r1.to_dict(), sort_keys=True) == \
-        json.dumps(r4.to_dict(), sort_keys=True)
+    with mock.patch.object(model_mod, "zscore_fit",
+                           wraps=model_mod.zscore_fit) as zscore, \
+            mock.patch.object(model_mod, "pca_fit",
+                              wraps=model_mod.pca_fit) as pca:
+        _, fit_log = nested_cv(data, TargetSpec(3, "cerad_total", "regression"),
+                               seed=3)
+    # 5 outer folds x 3 inner folds, then one refit per outer fold
+    assert len(fit_log) == 5 * 3 * 15 + 5
+    assert zscore.call_count == 15 + 5
+    assert pca.call_count == 15 * len(model_mod.PCA_MODES) + 5
 
 
 def test_nested_cv_grid_validation():
