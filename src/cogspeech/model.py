@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .corpus import LabelHierarchy
 from .errors import ConfigError, ValidationError
@@ -138,8 +137,8 @@ def ridge_fit(X, y, lam: float) -> RidgeModel:
         raise ValidationError(f"shape mismatch: X {X.shape}, y {y.shape}")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows")
-    if lam < 0:
-        raise ConfigError(f"lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ConfigError(f"lam must be finite and >= 0, got {lam}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValidationError("non-finite inputs")
     x_mean = X.mean(axis=0)
@@ -170,13 +169,6 @@ class SvmModel:
     converged: bool
 
 
-def _max_step(v, dv) -> float:
-    """Largest step that keeps every v + step * dv >= 0 (inf if any
-    step does)."""
-    neg = dv < 0.0
-    return float(np.min(v[neg] / -dv[neg])) if neg.any() else math.inf
-
-
 def svm_fit(X, y, C: float, class_weighting: str = "balanced",
             tol: float = 1e-11, max_iter: int = 100) -> SvmModel:
     """Linear soft-margin SVM by a primal-dual interior-point method on
@@ -193,25 +185,37 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
     current iterate comes back with converged=False. `iterations` counts
     Newton steps.
 
+    The iterate lives in one stacked vector u = (a, slack, z, s), where
+    slack = C - a is kept on its own so it stays > 0 near a = C, and z, s
+    are the multipliers of a >= 0 and a <= C. Its step is
+    du = (da, -da, dz, ds), so the box half (a, slack) pairs with the
+    multiplier half (z, s): the complementarity products, the Newton
+    right-hand sides, the step to the boundary and the update are each
+    one or two array operations on the halves, and only the KKT diagonal
+    changes from step to step.
+
     The bias is the mean of -y * gradient over the free support vectors,
     or the midpoint of the feasible interval when none is free. a_i is
     at its lower bound when a_i / C_i < z_i (its bound multiplier), and
     at C_i when (C_i - a_i) / C_i < s_i.
     """
+    from scipy.linalg import lapack  # loaded by the first fit, not on import
+
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if set(np.unique(y)) - {-1.0, 1.0}:
+    n_pos = int(np.count_nonzero(y == 1.0))
+    n_neg = int(np.count_nonzero(y == -1.0))
+    if n_pos + n_neg != y.size:
         raise ValidationError("labels must be -1/+1")
-    if len(np.unique(y)) < 2:
+    if not (n_pos and n_neg):
         raise ValidationError("single-class training labels")
-    if C <= 0:
-        raise ConfigError(f"C must be > 0, got {C}")
+    if not 0.0 < C < math.inf:
+        raise ConfigError(f"C must be finite and > 0, got {C}")
     if class_weighting not in ("balanced", "none"):
         raise ConfigError(f"class_weighting must be 'balanced' or 'none'")
     n = X.shape[0]
+    m = 2 * n
     if class_weighting == "balanced":
-        n_pos = int(np.sum(y > 0))
-        n_neg = n - n_pos
         scale = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
     else:
         scale = np.ones(n)
@@ -221,17 +225,37 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
     Q = Yx @ Yx.T
     # the dual residual is judged against the size of the terms in Q @ a
     Q_abs = np.abs(Q)
+    u, du = np.empty(2 * m), np.empty(2 * m)
+    box, mult = u[:m], u[m:]  # (a, slack) and their multipliers (z, s)
+    alpha, slack, z, s = u[:n], u[n:m], u[m:m + n], u[m + n:]
     # interior start; z and s make the start dual feasible
-    alpha = cap / 2.0
-    slack = cap - alpha  # updated on its own, so it stays > 0 near a = C
+    alpha[:] = cap / 2.0
+    slack[:] = cap - alpha
     nu = 0.0
     grad = Q @ alpha - 1.0
-    z = np.maximum(grad, 0.0) + 1.0  # multipliers of a >= 0
-    s = np.maximum(-grad, 0.0) + 1.0  # multipliers of a <= C
-    kkt = np.zeros((n + 1, n + 1))
+    z[:] = np.maximum(grad, 0.0) + 1.0
+    s[:] = np.maximum(-grad, 0.0) + 1.0
+    kkt = np.zeros((n + 1, n + 1), order="F")
+    kkt[:n, :n] = Q
     kkt[:n, n] = kkt[n, :n] = y
-    diag = np.arange(n)
-    rhs = np.zeros(n + 1)
+    kkt_diag, q_diag = np.einsum("ii->i", kkt)[:n], Q.diagonal().copy()
+    rhs, ratio = np.empty(n + 1), np.empty(2 * m)
+
+    def newton(r):
+        """Fill du from the right-hand side r = (r_z, r_s) of
+        a*dz + z*da = r_z and slack*ds - s*da = r_s; return dnu and the
+        largest step that keeps u + step * du >= 0 (inf if none is
+        limited)."""
+        q = r / box
+        rhs[:n] = q[:n] - q[n:] - r_dual
+        rhs[n] = -r_eq
+        sol = lapack.dgetrs(lu, piv, rhs)[0]
+        du[:n] = sol[:n]
+        du[n:m] = -sol[:n]
+        du[m:] = (r - mult * du[:m]) / box
+        falling = du < 0.0
+        np.divide(u, du, out=ratio, where=falling)
+        return sol[n], -ratio.max(where=falling, initial=-math.inf)
 
     it = 0
     while True:
@@ -247,39 +271,24 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
         if converged or it >= max_iter:
             break
         it += 1
-        kkt[:n, :n] = Q
-        kkt[diag, diag] += z / alpha + s / slack
+        q = mult / box
+        kkt_diag[:] = q_diag + (q[:n] + q[n:])
         lu, piv, _ = lapack.dgetrf(kkt)
 
-        def newton(r_z, r_s):
-            # step with a*dz + z*da = r_z and slack*ds - s*da = r_s
-            rhs[:n] = r_z / alpha - r_s / slack - r_dual
-            rhs[n] = -r_eq
-            sol = lapack.dgetrs(lu, piv, rhs)[0]
-            da = sol[:n]
-            dz = (r_z - z * da) / alpha
-            ds = (r_s + s * da) / slack
-            step = _max_step(np.concatenate((alpha, slack, z, s)),
-                             np.concatenate((da, -da, dz, ds)))
-            return da, sol[n], dz, ds, step
-
-        da, _, dz, ds, step = newton(-alpha * z, -slack * s)  # predictor
+        comp = box * mult
+        _, step = newton(-comp)  # predictor
         step = min(1.0, step)
         mu = gap / (2 * n)
-        mu_aff = float((alpha + step * da) @ (z + step * dz)
-                       + (slack - step * da) @ (s + step * ds)) / (2 * n)
+        trial = u + step * du
+        mu_aff = float(trial[:n] @ trial[m:m + n]
+                       + trial[n:m] @ trial[m + n:]) / (2 * n)
         target = (mu_aff / mu) ** 3 * mu
-        da, dnu, dz, ds, step = newton(target - alpha * z - da * dz,
-                                       target - slack * s + da * ds)
+        dnu, step = newton(target - comp - du[:m] * du[m:])  # corrector
         step = min(1.0, 0.995 * step)  # stay inside the box
-        alpha = alpha + step * da
-        slack = slack - step * da
+        u += step * du
         nu += step * dnu
-        z = z + step * dz
-        s = s + step * ds
 
     w = X.T @ (alpha * y)
-    grad = Q @ alpha - 1.0
     lower = alpha < cap * z
     upper = slack < cap * s
     free = ~(lower | upper)
@@ -338,11 +347,11 @@ def balanced_accuracy(y, yhat) -> float:
     yhat = np.asarray(yhat)
     if y.shape != yhat.shape:
         raise ValidationError("length mismatch")
-    recalls = []
-    for cls in np.unique(y):
-        sel = y == cls
-        recalls.append(float(np.mean(yhat[sel] == cls)))
-    return float(np.mean(recalls))
+    # per class (in sorted order): rows predicted as their own class over
+    # rows of the class, the same division np.mean of a mask performs
+    total = Counter(y.ravel().tolist())
+    hits = Counter(y[y == yhat].tolist())
+    return float(np.mean([hits[c] / total[c] for c in sorted(total)]))
 
 
 def welch_t(a, b) -> tuple[float, float]:
@@ -530,15 +539,21 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.estimator == "ridge":
-            if self.lam is None or self.lam < 0 or self.C is not None:
-                raise ConfigError("ridge config needs lam >= 0 and no C")
+            if (self.lam is None or not 0.0 <= self.lam < math.inf
+                    or self.C is not None):
+                raise ConfigError("ridge config needs a finite lam >= 0 "
+                                  "and no C")
         elif self.estimator == "linear_svm":
-            if self.C is None or self.C <= 0 or self.lam is not None:
-                raise ConfigError("linear_svm config needs C > 0 and no lam")
+            if (self.C is None or not 0.0 < self.C < math.inf
+                    or self.lam is not None):
+                raise ConfigError("linear_svm config needs a finite C > 0 "
+                                  "and no lam")
         else:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if self.pca != "passthrough" and not isinstance(self.pca, float):
-            raise ConfigError(f"pca must be 'passthrough' or a fraction")
+        if self.pca != "passthrough" and not (isinstance(self.pca, float)
+                                              and 0.0 < self.pca <= 1.0):
+            raise ConfigError("pca must be 'passthrough' or a fraction in "
+                              "(0, 1]")
 
     def describe(self) -> str:
         if self.estimator == "ridge":
@@ -594,7 +609,10 @@ class FittedPipeline:
         return pca_apply(self.pca, zscore_apply(self.scaler, X))
 
     def predict(self, X) -> np.ndarray:
-        Z = self.transform(X)
+        return self.predict_transformed(self.transform(X))
+
+    def predict_transformed(self, Z) -> np.ndarray:
+        """Predictions for rows that have been through transform()."""
         if self.config.estimator == "ridge":
             return predict_ridge(self.model, Z)
         return svm_predict(self.model, Z)
@@ -738,9 +756,11 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
                          else plan.inner[fold][inner])
         train = plan.outer_train_subjects(fold) - held
         tr, te = data.rows_for(train), data.rows_for(held)
+        X_held, y_held = data.X[te], data.y[te]
         stage = "outer" if inner is None else "inner"
         tag = stage if inner is None else f"inner {inner}"
         fit, out = None, []
+        held_z = {}  # PCA mode -> held-out rows through the shared transform
         for c in indices:
             record = FitRecord(stage=stage, outer_fold=fold, inner_fold=inner,
                                config_index=c, train_subjects=train,
@@ -760,8 +780,11 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
             if isinstance(pipe.model, SvmModel) and not pipe.model.converged:
                 note = (f"{where}: SVM did not converge after "
                         f"{pipe.model.iterations} iterations")
-            metrics = _eval_metrics(target.kind, data.y[te],
-                                    pipe.predict(data.X[te]))
+            mode = grid[c].pca
+            if mode not in held_z:
+                held_z[mode] = pipe.transform(X_held)
+            metrics = _eval_metrics(target.kind, y_held,
+                                    pipe.predict_transformed(held_z[mode]))
             out.append((record, metrics, note))
         return out
 

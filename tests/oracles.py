@@ -4,7 +4,9 @@ Everything here is deliberately written the dumb way: frame-by-frame
 counting for diarization scores, explicit normal equations for ridge,
 covariance eigendecomposition for PCA, one np.concatenate per junction
 for the concatenated stream, sequential minimal optimization
-(one pair of dual variables per step) for the linear SVM, one frame
+(one pair of dual variables per step) for the linear SVM and the
+interior-point solver as first written (separate arrays, concatenated
+copies for the step length) as its bitwise reference, one frame
 at a time for the acoustic descriptors (direct autocorrelation, a full
 scan of the pulses per frame, a scalar Levinson-Durbin fit and np.roots
 per frame), and whole-signal arrays for the spectral gate and the
@@ -290,6 +292,120 @@ def smo_svm(X, y, C, class_weighting="balanced", tol=1e-6, max_iter=None):
         lo = yG[low].min() if low.any() else 0.0
         b = float((hi + lo) / 2.0)
     return w, b, it, converged
+
+
+def _max_step(v, dv) -> float:
+    """Largest step that keeps every v + step * dv >= 0 (inf if any
+    step does)."""
+    neg = dv < 0.0
+    return float(np.min(v[neg] / -dv[neg])) if neg.any() else math.inf
+
+
+def ipm_svm(X, y, C, class_weighting="balanced", tol=1e-11, max_iter=100):
+    """The interior-point solver as first written, with separate
+    alpha/slack/z/s arrays and the step length from concatenated copies:
+    (weights, bias, iterations, converged). `cogspeech.model.svm_fit` must
+    reproduce it bit for bit."""
+    from scipy.linalg import lapack
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = X.shape[0]
+    if class_weighting == "balanced":
+        n_pos = int(np.sum(y > 0))
+        n_neg = n - n_pos
+        scale = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
+    else:
+        scale = np.ones(n)
+    cap = C * scale
+
+    Yx = X * y[:, None]
+    Q = Yx @ Yx.T
+    # the dual residual is judged against the size of the terms in Q @ a
+    Q_abs = np.abs(Q)
+    # interior start; z and s make the start dual feasible
+    alpha = cap / 2.0
+    slack = cap - alpha  # updated on its own, so it stays > 0 near a = C
+    nu = 0.0
+    grad = Q @ alpha - 1.0
+    z = np.maximum(grad, 0.0) + 1.0  # multipliers of a >= 0
+    s = np.maximum(-grad, 0.0) + 1.0  # multipliers of a <= C
+    kkt = np.zeros((n + 1, n + 1))
+    kkt[:n, n] = kkt[n, :n] = y
+    diag = np.arange(n)
+    rhs = np.zeros(n + 1)
+
+    it = 0
+    while True:
+        grad = Q @ alpha - 1.0
+        r_dual = grad + nu * y - z + s
+        r_eq = float(y @ alpha)
+        gap = float(alpha @ z + slack @ s)
+        objective = 0.5 * float(alpha @ (grad - 1.0))
+        converged = (gap <= tol * (1.0 + abs(objective))
+                     and abs(r_eq) <= tol * (1.0 + cap.max())
+                     and np.abs(r_dual).max()
+                     <= tol * (1.0 + (Q_abs @ alpha).max()))
+        if converged or it >= max_iter:
+            break
+        it += 1
+        kkt[:n, :n] = Q
+        kkt[diag, diag] += z / alpha + s / slack
+        lu, piv, _ = lapack.dgetrf(kkt)
+
+        def newton(r_z, r_s):
+            # step with a*dz + z*da = r_z and slack*ds - s*da = r_s
+            rhs[:n] = r_z / alpha - r_s / slack - r_dual
+            rhs[n] = -r_eq
+            sol = lapack.dgetrs(lu, piv, rhs)[0]
+            da = sol[:n]
+            dz = (r_z - z * da) / alpha
+            ds = (r_s + s * da) / slack
+            step = _max_step(np.concatenate((alpha, slack, z, s)),
+                             np.concatenate((da, -da, dz, ds)))
+            return da, sol[n], dz, ds, step
+
+        da, _, dz, ds, step = newton(-alpha * z, -slack * s)  # predictor
+        step = min(1.0, step)
+        mu = gap / (2 * n)
+        mu_aff = float((alpha + step * da) @ (z + step * dz)
+                       + (slack - step * da) @ (s + step * ds)) / (2 * n)
+        target = (mu_aff / mu) ** 3 * mu
+        da, dnu, dz, ds, step = newton(target - alpha * z - da * dz,
+                                       target - slack * s + da * ds)
+        step = min(1.0, 0.995 * step)  # stay inside the box
+        alpha = alpha + step * da
+        slack = slack - step * da
+        nu += step * dnu
+        z = z + step * dz
+        s = s + step * ds
+
+    w = X.T @ (alpha * y)
+    grad = Q @ alpha - 1.0
+    lower = alpha < cap * z
+    upper = slack < cap * s
+    free = ~(lower | upper)
+    if free.any():
+        b = float(np.mean(-y[free] * grad[free]))
+    else:
+        yG = -y * grad
+        up = np.where(y > 0, ~upper, ~lower)
+        low = np.where(y > 0, ~lower, ~upper)
+        hi = yG[up].max() if up.any() else 0.0
+        lo = yG[low].min() if low.any() else 0.0
+        b = float((hi + lo) / 2.0)
+    return w, b, it, converged
+
+
+def balanced_accuracy(y, yhat):
+    """Mean per-class recall, one boolean mask per class in np.unique's
+    order."""
+    y = np.asarray(y)
+    yhat = np.asarray(yhat)
+    recalls = []
+    for cls in np.unique(y):
+        sel = y == cls
+        recalls.append(float(np.mean(yhat[sel] == cls)))
+    return float(np.mean(recalls))
 
 
 # ---------------------------------------------------------------------------

@@ -615,7 +615,11 @@ def test_grid_search_malformed_grid_is_config_error(corpus, tmp_path, capsys):
 @pytest.mark.parametrize("text", [NOT_JSON, '[{"lam": 1.0}]', '["ridge"]',
                                   '[{"estimator": "ridge", "lam": 1.0, '
                                   '"pca": "half"}]',
-                                  '[{"estimator": "ridge", "lam": "x"}]'])
+                                  '[{"estimator": "ridge", "lam": "x"}]',
+                                  '[{"estimator": "ridge", "lam": NaN}]',
+                                  '[{"estimator": "ridge", "lam": Infinity}]',
+                                  '[{"estimator": "ridge", "lam": 1.0, '
+                                  '"pca": 1.5}]'])
 def test_cv_malformed_grid_is_config_error(corpus, feature_csv, tmp_path,
                                            capsys, text):
     grid = tmp_path / "grid.json"

@@ -18,8 +18,8 @@ import synth
 from cogspeech.corpus import LabelHierarchy
 from cogspeech.errors import ConfigError, ValidationError
 from cogspeech.model import (
-    Dataset, FitRecord, FittedPipeline, FoldPlan, PipelineConfig, TargetSpec,
-    assert_no_leakage, balanced_accuracy, chi_square_2x2, config_from_dict,
+    SVM_CS, Dataset, FitRecord, FittedPipeline, FoldPlan, PipelineConfig,
+    TargetSpec, assert_no_leakage, balanced_accuracy, chi_square_2x2, config_from_dict,
     config_to_dict, default_grid, extract_target, fit_pipeline, holdout_eval,
     make_fold_plan, nested_cv, pca_apply, pca_fit, pearson_r, predict_ridge,
     r2, ridge_fit, svm_decision, svm_feature_importance, svm_fit, svm_predict,
@@ -188,8 +188,9 @@ def test_ridge_input_validation():
         ridge_fit(X, np.array([1.0]), 1.0)
     with pytest.raises(ValidationError):
         ridge_fit(X[:1], np.array([1.0]), 1.0)
-    with pytest.raises(ConfigError):
-        ridge_fit(X, np.array([1.0, 2.0]), -1.0)
+    for lam in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            ridge_fit(X, np.array([1.0, 2.0]), lam)
     with pytest.raises(ValidationError):
         ridge_fit(X, np.array([1.0, float("nan")]), 1.0)
 
@@ -250,8 +251,9 @@ def test_svm_input_validation():
         svm_fit(X, np.abs(y), C=1.0)  # single class
     with pytest.raises(ValidationError):
         svm_fit(X, np.where(y > 0, 2.0, -1.0), C=1.0)
-    with pytest.raises(ConfigError):
-        svm_fit(X, y, C=0.0)
+    for C in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            svm_fit(X, y, C=C)
     with pytest.raises(ConfigError):
         svm_fit(X, y, C=1.0, class_weighting="sqrt")
 
@@ -290,6 +292,46 @@ def test_svm_fit_matches_smo_oracle(problem):
     np.testing.assert_array_equal(svm_predict(model, held_out), ref_pred)
 
 
+@st.composite
+def svm_stress_problem(draw):
+    """Random, column-scaled, row-duplicated or separable problems with
+    every grid C and weighting, stopped at 1, 2, 3 or 100 Newton steps."""
+    n = draw(st.integers(4, 60))
+    d = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["plain", "scaled", "duplicated",
+                                  "separable"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    X = rng.standard_normal((n, d))
+    if shape == "scaled":
+        X *= 10.0 ** rng.uniform(-3.0, 3.0, d)
+    elif shape == "duplicated":
+        X = np.vstack([X, X[:n // 2]])
+    score = X @ rng.standard_normal(d)
+    if shape == "separable":
+        X += 0.5 * np.sign(score)[:, None]
+        y = np.where(score > 0, 1.0, -1.0)
+    else:
+        noise = rng.uniform(0.1, 3.0) * score.std() + 1e-9
+        y = np.where(score + rng.normal(0.0, noise, len(score)) > 0, 1.0, -1.0)
+    if len(np.unique(y)) < 2:
+        y[0] = -y[0]
+    return (X, y, draw(st.sampled_from(SVM_CS)),
+            draw(st.sampled_from(["balanced", "none"])),
+            draw(st.sampled_from([1, 2, 3, 100])))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(svm_stress_problem())
+def test_svm_fit_is_bitwise_the_reference_solver(problem):
+    X, y, C, weighting, max_iter = problem
+    w_ref, b_ref, it_ref, converged_ref = oracles.ipm_svm(
+        X, y, C, weighting, max_iter=max_iter)
+    model = svm_fit(X, y, C, weighting, max_iter=max_iter)
+    assert model.weights.tobytes() == w_ref.tobytes()
+    assert np.float64(model.bias).tobytes() == np.float64(b_ref).tobytes()
+    assert (model.iterations, model.converged) == (it_ref, converged_ref)
+
+
 def test_no_svm_fit_stops_at_its_cap_on_permuted_labels(monkeypatch):
     import cogspeech.model as model_mod
     real_fit = model_mod.svm_fit
@@ -326,6 +368,18 @@ def test_balanced_accuracy_hand_confusion():
     y = np.array([1.0] * 10 + [-1.0] * 10)
     yhat = np.array([1.0] * 9 + [-1.0] + [-1.0] * 5 + [1.0] * 5)
     assert balanced_accuracy(y, yhat) == pytest.approx(0.7)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 2.5]),
+                          st.sampled_from([-1.0, 0.0, 1.0, 7.0])),
+                min_size=1, max_size=40))
+def test_balanced_accuracy_is_the_per_class_mask_formula(pairs):
+    # yhat may predict classes y lacks and miss classes y has
+    y, yhat = (np.array(v) for v in zip(*pairs))
+    got = balanced_accuracy(y, yhat)
+    assert np.float64(got).tobytes() == \
+        np.float64(oracles.balanced_accuracy(y, yhat)).tobytes()
 
 
 def test_pearson_affine_invariance():
@@ -401,10 +455,35 @@ def test_welch_matches_permutation_oracle():
 
 def test_model_import_leaves_scipy_stats_unloaded():
     code = ("import sys; import cogspeech.model; "
-            "print('scipy.stats' in sys.modules)")
+            "print('scipy.stats' in sys.modules, "
+            "'scipy.linalg' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
+
+
+def test_first_svm_fit_in_nested_cv_threads_loads_scipy_linalg():
+    # svm_fit imports scipy.linalg on first use; here that first use is
+    # two pool threads at once, and the report must match jobs=1's
+    code = """if True:
+        import json, sys
+        import numpy as np
+        from cogspeech import model
+        assert 'scipy.linalg' not in sys.modules
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((40, 6))
+        y = np.where(X[:, 0] + 0.5 * rng.standard_normal(40) > 0, 1.0, -1.0)
+        ids = tuple(f"S{i:02d}" for i in range(40))
+        data = model.Dataset(X=X, y=y, subject_ids=ids, session_ids=ids,
+                             feature_names=tuple("abcdef"))
+        target = model.TargetSpec(3, "mci", "classification")
+        reports = [json.dumps(model.nested_cv(data, target, seed=3, jobs=j)[0]
+                              .to_dict(), sort_keys=True) for j in (2, 1)]
+        print(reports[0] == reports[1])
+    """
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "True"
 
 
 def test_welch_needs_two_per_sample():
@@ -637,6 +716,16 @@ def test_config_round_trip_and_describe():
         PipelineConfig(estimator="ridge", lam=0.01, C=1.0)
     with pytest.raises(ConfigError):
         PipelineConfig(estimator="linear_svm")
+    for bad in (dict(estimator="ridge", lam=float("nan")),
+                dict(estimator="ridge", lam=float("inf")),
+                dict(estimator="linear_svm", C=float("nan")),
+                dict(estimator="linear_svm", C=float("inf")),
+                dict(estimator="ridge", lam=1.0, pca=0.0),
+                dict(estimator="ridge", lam=1.0, pca=1.5),
+                dict(estimator="ridge", lam=1.0, pca=float("nan"))):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**bad)
+    assert PipelineConfig(estimator="ridge", lam=0.0, pca=1.0).pca == 1.0
 
 
 # ---------------------------------------------------------------------------
