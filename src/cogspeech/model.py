@@ -4,7 +4,9 @@ subject-disjoint nested cross-validation protocol.
 Every fit is logged with the subject sets that fed it and the subject
 sets it was evaluated on, so leakage is something the test suite can
 prove about executed fits rather than trust from the fold plan. Each
-training set fits the scaler once and each PCA mode once.
+training set fits the scaler once and each PCA mode once, and sweeps each
+mode's grid in one estimator call: ridge's lambdas in one stacked solve,
+the SVM's (C, weighting) problems in one Newton loop.
 
 Estimators are deliberately small and closed over: ridge by its normal
 equations, the linear SVM by a primal-dual interior-point method on the
@@ -128,17 +130,27 @@ class RidgeModel:
     lam: float
 
 
-def ridge_fit(X, y, lam: float) -> RidgeModel:
+def ridge_fit(X, y, lam: float, *, path=()):
     """min ||y - Xw - b||^2 + lam ||w||^2, intercept unpenalized; closed
-    form on centered data."""
+    form on centered data.
+
+    path: more lambdas to fit on the same (X, y). With a non-empty path
+    the result is the list of models for lam and then each path entry, in
+    order: one centring and one Gram matrix serve every lambda, and their
+    normal equations are one stacked solve. Each model is bitwise the one
+    ridge_fit gives for its lambda alone. A lambda whose system is
+    singular (possible at lam = 0) falls back to least squares.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValidationError(f"shape mismatch: X {X.shape}, y {y.shape}")
     if X.shape[0] < 2:
         raise ValidationError("need at least 2 rows")
-    if not 0.0 <= lam < math.inf:
-        raise ConfigError(f"lam must be finite and >= 0, got {lam}")
+    lams = (lam, *path)
+    for value in lams:
+        if not 0.0 <= value < math.inf:
+            raise ConfigError(f"lam must be finite and >= 0, got {value}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValidationError("non-finite inputs")
     x_mean = X.mean(axis=0)
@@ -146,13 +158,21 @@ def ridge_fit(X, y, lam: float) -> RidgeModel:
     Xc = X - x_mean
     yc = y - y_mean
     d = X.shape[1]
-    gram = Xc.T @ Xc + lam * np.eye(d)
-    try:
-        w = np.linalg.solve(gram, Xc.T @ yc)
+    xty = Xc.T @ yc
+    grams = Xc.T @ Xc + np.array(lams)[:, None, None] * np.eye(d)
+    try:  # one LAPACK gesv per lambda, as a lone solve(gram, xty) makes
+        W = np.linalg.solve(grams, np.broadcast_to(xty[:, None],
+                                                   (len(lams), d, 1)))[..., 0]
     except np.linalg.LinAlgError:
-        w = np.linalg.lstsq(gram, Xc.T @ yc, rcond=None)[0]
-    b = y_mean - float(x_mean @ w)
-    return RidgeModel(weights=w, intercept=b, lam=lam)
+        W = np.empty((len(lams), d))
+        for i, gram in enumerate(grams):
+            try:
+                W[i] = np.linalg.solve(gram, xty)
+            except np.linalg.LinAlgError:
+                W[i] = np.linalg.lstsq(gram, xty, rcond=None)[0]
+    models = [RidgeModel(weights=w, intercept=y_mean - float(x_mean @ w),
+                         lam=value) for w, value in zip(W, lams)]
+    return models if len(models) > 1 else models[0]
 
 
 def predict_ridge(model: RidgeModel, X) -> np.ndarray:
@@ -170,7 +190,7 @@ class SvmModel:
 
 
 def svm_fit(X, y, C: float, class_weighting: str = "balanced",
-            tol: float = 1e-11, max_iter: int = 100) -> SvmModel:
+            tol: float = 1e-11, max_iter: int = 100, *, path=()):
     """Linear soft-margin SVM by a primal-dual interior-point method on
     the dual (Mehrotra predictor-corrector; Ferris & Munson 2002).
 
@@ -185,7 +205,19 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
     current iterate comes back with converged=False. `iterations` counts
     Newton steps.
 
-    The iterate lives in one stacked vector u = (a, slack, z, s), where
+    path: more (C, class_weighting) pairs to solve on the same (X, y).
+    With a non-empty path the result is the list of models for
+    (C, class_weighting) and then each path entry, in order. All the
+    problems share Q and run in one Newton loop, each row of the stacked
+    state one problem; a problem leaves the loop at the step where it
+    converges, so its `iterations` and `converged` are those of a solo
+    fit. Every reduction is a matmul over the stack, which works row by
+    row, and each problem's KKT system is factored and solved by its own
+    LAPACK calls, so each model is bitwise the one svm_fit gives for its
+    pair alone. A problem whose KKT factor is exactly singular stops at
+    that step with converged=False; the others go on.
+
+    The iterate of a problem is one vector u = (a, slack, z, s), where
     slack = C - a is kept on its own so it stays > 0 near a = C, and z, s
     are the multipliers of a >= 0 and a <= C. Its step is
     du = (da, -da, dz, ds), so the box half (a, slack) pairs with the
@@ -203,106 +235,149 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
 
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValidationError(f"shape mismatch: X {X.shape}, y {y.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("non-finite inputs")
     n_pos = int(np.count_nonzero(y == 1.0))
     n_neg = int(np.count_nonzero(y == -1.0))
     if n_pos + n_neg != y.size:
         raise ValidationError("labels must be -1/+1")
     if not (n_pos and n_neg):
         raise ValidationError("single-class training labels")
-    if not 0.0 < C < math.inf:
-        raise ConfigError(f"C must be finite and > 0, got {C}")
-    if class_weighting not in ("balanced", "none"):
-        raise ConfigError(f"class_weighting must be 'balanced' or 'none'")
+    problems = ((C, class_weighting), *path)
+    for C_j, weighting in problems:
+        if not 0.0 < C_j < math.inf:
+            raise ConfigError(f"C must be finite and > 0, got {C_j}")
+        if weighting not in ("balanced", "none"):
+            raise ConfigError(f"class_weighting must be 'balanced' or 'none'")
     n = X.shape[0]
     m = 2 * n
-    if class_weighting == "balanced":
-        scale = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
-    else:
-        scale = np.ones(n)
-    cap = C * scale
+    balanced = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
+    caps = np.array([C_j * (balanced if weighting == "balanced" else np.ones(n))
+                     for C_j, weighting in problems])
+
+    def rows_times(v, A):
+        """v[j] @ A for each row j of the (k, n) stack v."""
+        return np.matmul(v[:, None, :], A)[:, 0]
+
+    def row_dots(a, b):
+        """a[j] . b[j] for each row j; b may be one vector for all rows."""
+        return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
     Yx = X * y[:, None]
     Q = Yx @ Yx.T
     # the dual residual is judged against the size of the terms in Q @ a
     Q_abs = np.abs(Q)
-    u, du = np.empty(2 * m), np.empty(2 * m)
-    box, mult = u[:m], u[m:]  # (a, slack) and their multipliers (z, s)
-    alpha, slack, z, s = u[:n], u[n:m], u[m:m + n], u[m + n:]
-    # interior start; z and s make the start dual feasible
-    alpha[:] = cap / 2.0
-    slack[:] = cap - alpha
-    nu = 0.0
-    grad = Q @ alpha - 1.0
-    z[:] = np.maximum(grad, 0.0) + 1.0
-    s[:] = np.maximum(-grad, 0.0) + 1.0
-    kkt = np.zeros((n + 1, n + 1), order="F")
-    kkt[:n, :n] = Q
-    kkt[:n, n] = kkt[n, :n] = y
-    kkt_diag, q_diag = np.einsum("ii->i", kkt)[:n], Q.diagonal().copy()
-    rhs, ratio = np.empty(n + 1), np.empty(2 * m)
+    # the state of the problems still running, one row each
+    ids = np.arange(len(problems))
+    u = np.empty((len(problems), 2 * m))
+    u[:, :n] = caps / 2.0  # interior start
+    u[:, n:m] = caps - u[:, :n]
+    grad = rows_times(u[:, :n], Q) - 1.0
+    u[:, m:m + n] = np.maximum(grad, 0.0) + 1.0  # z, s: dual feasible start
+    u[:, m + n:] = np.maximum(-grad, 0.0) + 1.0
+    nu = np.zeros(len(problems))
+    singular = np.zeros(len(problems), dtype=bool)
+    bordered = np.zeros((n + 1, n + 1), order="F")  # the KKT less its diagonal
+    bordered[:n, :n] = Q
+    bordered[:n, n] = bordered[n, :n] = y
+    q_diag = Q.diagonal().copy()
+    # a KKT matrix per running problem, refilled from `bordered` every
+    # step; each kkt[j] is Fortran-ordered, so LAPACK factors it in place
+    kkt = np.empty((n + 1, n + 1, len(problems)), order="F")
+    kkt = kkt.transpose(2, 0, 1)
+    kkt_diag = np.einsum("kii->ki", kkt)[:, :n]
+    finished = [None] * len(problems)
 
     def newton(r):
         """Fill du from the right-hand side r = (r_z, r_s) of
         a*dz + z*da = r_z and slack*ds - s*da = r_s; return dnu and the
         largest step that keeps u + step * du >= 0 (inf if none is
-        limited)."""
+        limited). A singular problem gets du = 0."""
         q = r / box
-        rhs[:n] = q[:n] - q[n:] - r_dual
-        rhs[n] = -r_eq
-        sol = lapack.dgetrs(lu, piv, rhs)[0]
-        du[:n] = sol[:n]
-        du[n:m] = -sol[:n]
-        du[m:] = (r - mult * du[:m]) / box
+        rhs = np.empty((len(u), n + 1))
+        rhs[:, :n] = q[:, :n] - q[:, n:] - r_dual
+        rhs[:, n] = -r_eq
+        sol = np.array([lapack.dgetrs(lu, piv, b)[0]
+                        for (lu, piv, _), b in zip(factors, rhs)])
+        sol[singular] = 0.0
+        du[:, :n] = sol[:, :n]
+        du[:, n:m] = -sol[:, :n]
+        du[:, m:] = (r - mult * du[:, :m]) / box
+        du[singular] = 0.0
         falling = du < 0.0
         np.divide(u, du, out=ratio, where=falling)
-        return sol[n], -ratio.max(where=falling, initial=-math.inf)
+        return sol[:, n], -ratio.max(axis=1, where=falling, initial=-math.inf)
 
     it = 0
     while True:
-        grad = Q @ alpha - 1.0
-        r_dual = grad + nu * y - z + s
-        r_eq = float(y @ alpha)
-        gap = float(alpha @ z + slack @ s)
-        objective = 0.5 * float(alpha @ (grad - 1.0))
-        converged = (gap <= tol * (1.0 + abs(objective))
-                     and abs(r_eq) <= tol * (1.0 + cap.max())
-                     and np.abs(r_dual).max()
-                     <= tol * (1.0 + (Q_abs @ alpha).max()))
-        if converged or it >= max_iter:
-            break
+        alpha, slack, z, s = u[:, :n], u[:, n:m], u[:, m:m + n], u[:, m + n:]
+        box, mult = u[:, :m], u[:, m:]
+        grad = rows_times(alpha, Q) - 1.0
+        r_dual = grad + nu[:, None] * y - z + s
+        r_eq = row_dots(alpha, y)
+        gap = row_dots(box, mult)
+        objective = 0.5 * row_dots(alpha, grad - 1.0)
+        converged = ((gap <= tol * (1.0 + np.abs(objective)))
+                     & (np.abs(r_eq) <= tol * (1.0 + caps.max(axis=1))))
+        if converged.any():
+            converged &= (np.abs(r_dual).max(axis=1)
+                          <= tol * (1.0 + rows_times(alpha, Q_abs).max(axis=1)))
+        stop = converged | singular | (it >= max_iter)
+        if stop.any():
+            for j in np.flatnonzero(stop):
+                finished[ids[j]] = u[j], grad[j], caps[j], it, bool(converged[j])
+            going = ~stop
+            if not going.any():
+                break
+            ids, u, nu, caps = ids[going], u[going], nu[going], caps[going]
+            singular = singular[going]
+            kkt, kkt_diag = kkt[:len(ids)], kkt_diag[:len(ids)]
+            continue  # retest the rest: no row's values depend on another's
         it += 1
         q = mult / box
-        kkt_diag[:] = q_diag + (q[:n] + q[n:])
-        lu, piv, _ = lapack.dgetrf(kkt)
+        kkt[:] = bordered
+        kkt_diag[:] = q_diag + (q[:, :n] + q[:, n:])
+        factors = [lapack.dgetrf(a, overwrite_a=True) for a in kkt]
+        singular |= np.array([info > 0 for _, _, info in factors])
+        du, ratio = np.empty_like(u), np.empty_like(u)
 
         comp = box * mult
         _, step = newton(-comp)  # predictor
-        step = min(1.0, step)
-        mu = gap / (2 * n)
-        trial = u + step * du
-        mu_aff = float(trial[:n] @ trial[m:m + n]
-                       + trial[n:m] @ trial[m + n:]) / (2 * n)
-        target = (mu_aff / mu) ** 3 * mu
-        dnu, step = newton(target - comp - du[:m] * du[m:])  # corrector
-        step = min(1.0, 0.995 * step)  # stay inside the box
-        u += step * du
+        step = np.minimum(1.0, step)
+        mu = gap / m
+        trial = u + step[:, None] * du
+        mu_aff = row_dots(trial[:, :m], trial[:, m:]) / m
+        sigma = mu_aff / mu
+        target = sigma * sigma * sigma * mu
+        corrector = target[:, None] - comp - du[:, :m] * du[:, m:]
+        dnu, step = newton(corrector)
+        step = np.minimum(1.0, 0.995 * step)  # stay inside the box
+        u += step[:, None] * du
         nu += step * dnu
 
-    w = X.T @ (alpha * y)
-    lower = alpha < cap * z
-    upper = slack < cap * s
-    free = ~(lower | upper)
-    if free.any():
-        b = float(np.mean(-y[free] * grad[free]))
-    else:
-        yG = -y * grad
-        up = np.where(y > 0, ~upper, ~lower)
-        low = np.where(y > 0, ~lower, ~upper)
-        hi = yG[up].max() if up.any() else 0.0
-        lo = yG[low].min() if low.any() else 0.0
-        b = float((hi + lo) / 2.0)
-    return SvmModel(weights=w, bias=b, C=C, class_weighting=class_weighting,
-                    iterations=it, converged=converged)
+    models = []
+    for (C_j, weighting), (u_j, grad, cap, iterations, converged) in zip(
+            problems, finished):
+        alpha, slack, z, s = u_j[:n], u_j[n:m], u_j[m:m + n], u_j[m + n:]
+        w = X.T @ (alpha * y)
+        lower = alpha < cap * z
+        upper = slack < cap * s
+        free = ~(lower | upper)
+        if free.any():
+            b = float(np.mean(-y[free] * grad[free]))
+        else:
+            yG = -y * grad
+            up = np.where(y > 0, ~upper, ~lower)
+            low = np.where(y > 0, ~lower, ~upper)
+            hi = yG[up].max() if up.any() else 0.0
+            lo = yG[low].min() if low.any() else 0.0
+            b = float((hi + lo) / 2.0)
+        models.append(SvmModel(weights=w, bias=b, C=C_j,
+                               class_weighting=weighting,
+                               iterations=iterations, converged=converged))
+    return models if len(models) > 1 else models[0]
 
 
 def svm_decision(model: SvmModel, X) -> np.ndarray:
@@ -618,28 +693,47 @@ class FittedPipeline:
         return svm_predict(self.model, Z)
 
 
-def _fitter(X, y):
-    """Fit the z-scaler on one training set; the returned fit(config)
-    fits each PCA mode once, on first use, then config's estimator."""
-    scaler = zscore_fit(X)
+def _fitter(X, y, configs) -> list:
+    """Fit every config on one training set: the z-scaler once, each PCA
+    mode once, and each (PCA mode, estimator) group of configs in one
+    ridge_fit or svm_fit path call. Per config, in order: its
+    FittedPipeline, or the ValidationError that stopped its group."""
+    try:
+        scaler = zscore_fit(X)
+    except ValidationError as exc:
+        return [exc] * len(configs)
     Z = zscore_apply(scaler, X)
+    groups = {}  # (PCA mode, estimator) -> positions in configs
+    for i, config in enumerate(configs):
+        groups.setdefault((config.pca, config.estimator), []).append(i)
     reduced = {}  # PCA mode -> (PcaModel, projected Z)
-
-    def fit(config: PipelineConfig) -> FittedPipeline:
-        if config.pca not in reduced:
-            pca = pca_fit(Z, config.pca)
-            reduced[config.pca] = pca, pca_apply(pca, Z)
-        pca, Zp = reduced[config.pca]
-        if config.estimator == "ridge":
-            model = ridge_fit(Zp, y, config.lam)
-        else:
-            model = svm_fit(Zp, y, config.C, config.class_weighting)
-        return FittedPipeline(config=config, scaler=scaler, pca=pca, model=model)
-    return fit
+    fitted = {}  # position in configs -> FittedPipeline or ValidationError
+    for (mode, estimator), members in groups.items():
+        head, *rest = (configs[i] for i in members)
+        try:
+            if mode not in reduced:
+                pca = pca_fit(Z, mode)
+                reduced[mode] = pca, pca_apply(pca, Z)
+            pca, Zp = reduced[mode]
+            if estimator == "ridge":
+                models = ridge_fit(Zp, y, head.lam, path=[c.lam for c in rest])
+            else:
+                models = svm_fit(Zp, y, head.C, head.class_weighting,
+                                 path=[(c.C, c.class_weighting) for c in rest])
+        except ValidationError as exc:
+            fitted.update(dict.fromkeys(members, exc))
+            continue
+        for i, model in zip(members, models if rest else [models]):
+            fitted[i] = FittedPipeline(config=configs[i], scaler=scaler,
+                                       pca=pca, model=model)
+    return [fitted[i] for i in range(len(configs))]
 
 
 def fit_pipeline(X, y, config: PipelineConfig) -> FittedPipeline:
-    return _fitter(X, y)(config)
+    (pipe,) = _fitter(X, y, [config])
+    if isinstance(pipe, ValidationError):
+        raise pipe
+    return pipe
 
 
 # ---------------------------------------------------------------------------
@@ -759,22 +853,21 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
         X_held, y_held = data.X[te], data.y[te]
         stage = "outer" if inner is None else "inner"
         tag = stage if inner is None else f"inner {inner}"
-        fit, out = None, []
+        if inner is not None and not (tr.any() and te.any()):
+            pipes = [ValidationError("empty side")] * len(indices)
+        else:
+            pipes = _fitter(data.X[tr], data.y[tr], [grid[c] for c in indices])
+        out = []
         held_z = {}  # PCA mode -> held-out rows through the shared transform
-        for c in indices:
+        for c, pipe in zip(indices, pipes):
             record = FitRecord(stage=stage, outer_fold=fold, inner_fold=inner,
                                config_index=c, train_subjects=train,
                                eval_subjects=held)
             where = f"fold {fold} config {c} {tag}"
-            try:
-                if inner is not None and not (tr.any() and te.any()):
-                    raise ValidationError("empty side")
-                fit = fit or _fitter(data.X[tr], data.y[tr])
-                pipe = fit(grid[c])
-            except ValidationError as exc:
+            if isinstance(pipe, ValidationError):
                 if inner is None:
-                    raise
-                out.append((record, None, f"{where} skipped: {exc}"))
+                    raise pipe
+                out.append((record, None, f"{where} skipped: {pipe}"))
                 continue
             note = None
             if isinstance(pipe.model, SvmModel) and not pipe.model.converged:

@@ -305,7 +305,8 @@ def ipm_svm(X, y, C, class_weighting="balanced", tol=1e-11, max_iter=100):
     """The interior-point solver as first written, with separate
     alpha/slack/z/s arrays and the step length from concatenated copies:
     (weights, bias, iterations, converged). `cogspeech.model.svm_fit` must
-    reproduce it bit for bit."""
+    take the same number of Newton steps and reach the same weights and
+    bias to a tolerance."""
     from scipy.linalg import lapack
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)

@@ -193,6 +193,43 @@ def test_ridge_input_validation():
             ridge_fit(X, np.array([1.0, 2.0]), lam)
     with pytest.raises(ValidationError):
         ridge_fit(X, np.array([1.0, float("nan")]), 1.0)
+    for lam in (-1.0, float("nan")):
+        with pytest.raises(ConfigError):
+            ridge_fit(X, np.array([1.0, 2.0]), 1.0, path=[0.5, lam])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.integers(1, 12), st.booleans(),
+       st.permutations([0.0, 0.01, 0.1, 1.0, 10.0, 100.0]),
+       st.integers(1, 6), st.integers(0, 2 ** 16))
+def test_ridge_path_entries_are_bitwise_their_solo_fits(n, d, zero_column,
+                                                        lams, size, seed):
+    # a zero column makes the lam = 0 system singular: that entry falls
+    # back to least squares, alone and inside the path alike
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+    if zero_column:
+        X[:, 0] = 0.0
+    y = rng.standard_normal(n)
+    lam, *path = lams[:size]
+    batch = ridge_fit(X, y, lam, path=path)
+    batch = batch if path else [batch]
+    assert [m.lam for m in batch] == lams[:size]
+    for model in batch:
+        solo = ridge_fit(X, y, model.lam)
+        assert model.weights.tobytes() == solo.weights.tobytes()
+        assert np.float64(model.intercept).tobytes() == \
+            np.float64(solo.intercept).tobytes()
+
+
+def test_ridge_singular_lambda_falls_back_to_least_squares():
+    rng = np.random.default_rng(11)
+    X = np.column_stack([rng.standard_normal(12), np.zeros(12)])
+    y = 3.0 * X[:, 0] + 1.0
+    exact, shrunk = ridge_fit(X, y, 0.0, path=[1.0])
+    assert exact.weights == pytest.approx([3.0, 0.0], abs=1e-12)
+    assert exact.intercept == pytest.approx(1.0, abs=1e-12)
+    assert shrunk.weights[1] == 0.0 and 0.0 < shrunk.weights[0] < 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +293,17 @@ def test_svm_input_validation():
             svm_fit(X, y, C=C)
     with pytest.raises(ConfigError):
         svm_fit(X, y, C=1.0, class_weighting="sqrt")
+    for bad in ((float("nan"), "none"), (0.0, "none"), (1.0, "sqrt")):
+        with pytest.raises(ConfigError):
+            svm_fit(X, y, C=1.0, path=[(1.0, "none"), bad])
+    X_nan = X.copy()
+    X_nan[3, 1] = float("nan")
+    with pytest.raises(ValidationError):
+        svm_fit(X_nan, y, C=1.0)
+    with pytest.raises(ValidationError):
+        svm_fit(X, y[:-2], C=1.0)
+    with pytest.raises(ValidationError):
+        svm_fit(X[:, 0], y, C=1.0)
 
 
 @st.composite
@@ -322,32 +370,86 @@ def svm_stress_problem(draw):
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(svm_stress_problem())
-def test_svm_fit_is_bitwise_the_reference_solver(problem):
+def test_svm_fit_tracks_the_reference_solver(problem):
+    # the batched loop's stacked reductions round unlike the reference's
+    # 1-D BLAS calls, so the iterates agree to a tolerance, the step
+    # counts exactly
     X, y, C, weighting, max_iter = problem
     w_ref, b_ref, it_ref, converged_ref = oracles.ipm_svm(
         X, y, C, weighting, max_iter=max_iter)
     model = svm_fit(X, y, C, weighting, max_iter=max_iter)
-    assert model.weights.tobytes() == w_ref.tobytes()
-    assert np.float64(model.bias).tobytes() == np.float64(b_ref).tobytes()
     assert (model.iterations, model.converged) == (it_ref, converged_ref)
+    scale = 1.0 + float(np.abs(w_ref).max())
+    assert float(np.abs(model.weights - w_ref).max()) <= 1e-7 * scale
+    assert abs(model.bias - b_ref) <= 1e-7 * scale
+
+
+GRID_PAIRS = [(C, w) for C in SVM_CS for w in ("balanced", "none")]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(svm_stress_problem(), st.permutations(GRID_PAIRS),
+       st.integers(1, len(GRID_PAIRS)))
+def test_svm_path_entries_are_bitwise_their_solo_fits(problem, order, size):
+    X, y, _, _, max_iter = problem
+    (C, weighting), *path = order[:size]
+    batch = svm_fit(X, y, C, weighting, max_iter=max_iter, path=path)
+    batch = batch if path else [batch]
+    assert len(batch) == size
+    for (C, weighting), model in zip(order, batch):
+        solo = svm_fit(X, y, C, weighting, max_iter=max_iter)
+        assert (model.C, model.class_weighting) == (C, weighting)
+        assert model.weights.tobytes() == solo.weights.tobytes()
+        assert np.float64(model.bias).tobytes() == \
+            np.float64(solo.bias).tobytes()
+        assert (model.iterations, model.converged) == \
+            (solo.iterations, solo.converged)
+
+
+def test_svm_singular_kkt_stops_only_its_own_problem(monkeypatch):
+    # a factorization that calls the second problem's KKT matrix singular:
+    # that problem stops unconverged at its first step, the others run on
+    from scipy.linalg import lapack
+    X, y = blobs(seed=4)
+    real_dgetrf = lapack.dgetrf
+    calls = []
+
+    def dgetrf(a, **kwargs):
+        calls.append(a)  # the first step factors problem 0, then problem 1
+        lu, piv, info = real_dgetrf(a, **kwargs)
+        return lu, piv, 1 if len(calls) == 2 else info
+
+    pairs = [(1.0, "none"), (0.01, "none"), (10.0, "balanced")]
+    with monkeypatch.context() as patched:
+        patched.setattr(lapack, "dgetrf", dgetrf)
+        batch = svm_fit(X, y, *pairs[0], path=pairs[1:])
+    stopped = batch[1]
+    assert (stopped.iterations, stopped.converged) == (1, False)
+    assert np.all(np.isfinite(stopped.weights)) and math.isfinite(stopped.bias)
+    for pair, model in zip(pairs[::2], batch[::2]):
+        solo = svm_fit(X, y, *pair)
+        assert solo.converged and model.converged
+        assert model.weights.tobytes() == solo.weights.tobytes()
+        assert model.iterations == solo.iterations
 
 
 def test_no_svm_fit_stops_at_its_cap_on_permuted_labels(monkeypatch):
     import cogspeech.model as model_mod
     real_fit = model_mod.svm_fit
-    fits = []
+    models = []
 
     def recording_fit(*args, **kwargs):
-        fits.append(real_fit(*args, **kwargs))
-        return fits[-1]
+        fitted = real_fit(*args, **kwargs)
+        models.extend(fitted if kwargs.get("path") else [fitted])
+        return fitted
 
     monkeypatch.setattr(model_mod, "svm_fit", recording_fit)
     data = synth.planted_classification(100, n_features=12, seed=3,
                                         permuted=True)
     report, _ = nested_cv(data, TargetSpec(3, "mci", "classification"),
                           seed=1)
-    assert len(fits) == 5 * 3 * 24 + 5
-    assert [f.iterations for f in fits if not f.converged] == []
+    assert len(models) == 5 * 3 * 24 + 5
+    assert [m.iterations for m in models if not m.converged] == []
     assert not any("did not converge" in w for w in report.warnings)
 
 
@@ -653,8 +755,8 @@ def test_nested_cv_reports_unconverged_svm_fits(monkeypatch):
     real_fit = model_mod.svm_fit
     monkeypatch.setattr(
         model_mod, "svm_fit",
-        lambda X, y, C, class_weighting="balanced": real_fit(
-            X, y, C, class_weighting, max_iter=3))
+        lambda X, y, C, class_weighting="balanced", **kwargs: real_fit(
+            X, y, C, class_weighting, max_iter=3, **kwargs))
     data = synth.planted_classification(24, n_features=4, seed=2)
     grid = [PipelineConfig(estimator="linear_svm", C=1.0)]
     report, fit_log = nested_cv(data, TargetSpec(3, "mci", "classification"),
@@ -695,6 +797,28 @@ def test_nested_cv_fits_scaler_and_pca_once_per_training_set():
     assert len(fit_log) == 5 * 3 * 15 + 5
     assert zscore.call_count == 15 + 5
     assert pca.call_count == 15 * len(model_mod.PCA_MODES) + 5
+
+
+def test_nested_cv_fits_through_the_public_estimators():
+    # the benchmark times svm_fit, ridge_fit and pca_fit by swapping the
+    # module's bindings, so nested_cv must call each of them by name: one
+    # path call per (training set, PCA mode), 15 inner and 5 outer sets
+    import cogspeech.model as model_mod
+    for data, target, estimator in (
+            (synth.planted_regression(40, seed=5),
+             TargetSpec(3, "cerad_total", "regression"), "ridge_fit"),
+            (synth.planted_classification(40, seed=5),
+             TargetSpec(3, "mci", "classification"), "svm_fit")):
+        with mock.patch.object(model_mod, estimator,
+                               wraps=getattr(model_mod, estimator)) as fit, \
+                mock.patch.object(model_mod, "pca_fit",
+                                  wraps=model_mod.pca_fit) as pca:
+            _, fit_log = nested_cv(data, target, seed=3)
+        assert fit.call_count == pca.call_count == \
+            15 * len(model_mod.PCA_MODES) + 5
+        models = sum(1 + len(call.kwargs["path"])
+                     for call in fit.call_args_list)
+        assert models == len(fit_log)
 
 
 def test_nested_cv_grid_validation():
