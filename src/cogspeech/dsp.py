@@ -498,10 +498,3 @@ def preprocess_chain(x: Signal, cfg: PreprocessConfig | None = None
         "output_rms_dbfs": round(_rms_db(norm.signal.samples), 4),
     })
     return norm.signal, audit
-
-
-def make_sine(freq_hz: float, duration_s: float, sample_rate: int,
-              peak: float = 1.0, phase: float = 0.0) -> Signal:
-    """Test/reference tone generator."""
-    t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
-    return Signal(peak * np.sin(2 * np.pi * freq_hz * t + phase), sample_rate)

@@ -5,8 +5,10 @@ Every fit is logged with the subject sets that fed it and the subject
 sets it was evaluated on, so leakage is something the test suite can
 prove about executed fits rather than trust from the fold plan. Each
 training set fits the scaler once and each PCA mode once, and sweeps each
-mode's grid in one estimator call: ridge's lambdas in one stacked solve,
-the SVM's (C, weighting) problems in one Newton loop.
+mode's ridge lambdas in one stacked solve. The SVM's (C, weighting)
+problems of a whole nested-CV stage, every training set and PCA mode of
+it, run in one Newton loop: one svm_fit batch call for the inner splits
+(per jobs chunk) and one for the outer refits.
 
 Estimators are deliberately small and closed over: ridge by its normal
 equations, the linear SVM by a primal-dual interior-point method on the
@@ -22,7 +24,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 
 import numpy as np
 
@@ -189,8 +191,38 @@ class SvmModel:
     converged: bool
 
 
+# Problems of equal n share the Newton loop in blocks of at most
+# _BLOCK_PROBLEMS problems whose stacked KKT matrices hold at most
+# _KKT_BLOCK entries, and at least one problem. The first cap bounds the
+# per-step state where n is small (64 problems share each step's call
+# overhead nearly as well as hundreds do); the second bounds the KKT
+# stack where n is large: a whole 8-problem grid up to n = 361, one
+# problem from n = 724.
+_BLOCK_PROBLEMS = 64
+_KKT_BLOCK = 1 << 20
+
+
+def _svm_set(X, y):
+    """One training set's X and y as float arrays and each row's weight
+    under "balanced", n / (2 * n_class); ValidationError if the set
+    cannot be fitted."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.shape != X.shape[:1]:
+        raise ValidationError(f"shape mismatch: X {X.shape}, y {y.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ValidationError("non-finite inputs")
+    n_pos = int(np.count_nonzero(y == 1.0))
+    n_neg = int(np.count_nonzero(y == -1.0))
+    if n_pos + n_neg != y.size:
+        raise ValidationError("labels must be -1/+1")
+    if not (n_pos and n_neg):
+        raise ValidationError("single-class training labels")
+    return X, y, np.where(y > 0, y.size / (2.0 * n_pos), y.size / (2.0 * n_neg))
+
+
 def svm_fit(X, y, C: float, class_weighting: str = "balanced",
-            tol: float = 1e-11, max_iter: int = 100, *, path=()):
+            tol: float = 1e-11, max_iter: int = 100, *, path=(), batch=()):
     """Linear soft-margin SVM by a primal-dual interior-point method on
     the dual (Mehrotra predictor-corrector; Ferris & Munson 2002).
 
@@ -207,15 +239,28 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
 
     path: more (C, class_weighting) pairs to solve on the same (X, y).
     With a non-empty path the result is the list of models for
-    (C, class_weighting) and then each path entry, in order. All the
-    problems share Q and run in one Newton loop, each row of the stacked
-    state one problem; a problem leaves the loop at the step where it
-    converges, so its `iterations` and `converged` are those of a solo
-    fit. Every reduction is a matmul over the stack, which works row by
-    row, and each problem's KKT system is factored and solved by its own
-    LAPACK calls, so each model is bitwise the one svm_fit gives for its
-    pair alone. A problem whose KKT factor is exactly singular stops at
-    that step with converged=False; the others go on.
+    (C, class_weighting) and then each path entry, in order.
+
+    batch: more training sets, each an (X, y, pairs) triple whose pairs
+    are the (C, class_weighting) problems to solve on it. With a
+    non-empty batch the result is one list of models per training set,
+    the call's own (X, y) first, each list in its pairs' order. Every set
+    is validated before any problem is solved.
+
+    Every problem of the call, whatever its set, runs in one Newton loop:
+    problems of equal n share it in blocks of at most _BLOCK_PROBLEMS
+    problems and _KKT_BLOCK stacked KKT entries, each row of a block's
+    state one problem with its set's Q and y. A set's problems stay in
+    one block where they fit; a block of one set reads that set's Q
+    through a broadcast view, and a block of several stacks one copy per
+    problem. A problem leaves the loop at the step where it converges, so
+    its `iterations` and `converged` are those of a solo fit. Every
+    reduction is a matmul over the stack, which works row by row, and
+    each problem's KKT system is factored and solved by its own LAPACK
+    calls, so each model is bitwise the one svm_fit gives for its pair
+    and set alone. A problem whose KKT factor is exactly singular stops
+    at that step with converged=False; the others go on. Memory follows
+    the block size, not the number of problems.
 
     The iterate of a problem is one vector u = (a, slack, z, s), where
     slack = C - a is kept on its own so it stays > 0 near a = C, and z, s
@@ -233,62 +278,124 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
     """
     from scipy.linalg import lapack  # loaded by the first fit, not on import
 
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.shape != X.shape[:1]:
-        raise ValidationError(f"shape mismatch: X {X.shape}, y {y.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ValidationError("non-finite inputs")
-    n_pos = int(np.count_nonzero(y == 1.0))
-    n_neg = int(np.count_nonzero(y == -1.0))
-    if n_pos + n_neg != y.size:
-        raise ValidationError("labels must be -1/+1")
-    if not (n_pos and n_neg):
-        raise ValidationError("single-class training labels")
-    problems = ((C, class_weighting), *path)
-    for C_j, weighting in problems:
-        if not 0.0 < C_j < math.inf:
-            raise ConfigError(f"C must be finite and > 0, got {C_j}")
-        if weighting not in ("balanced", "none"):
-            raise ConfigError(f"class_weighting must be 'balanced' or 'none'")
-    n = X.shape[0]
+    data = []  # (X, y) per training set
+    problems = []  # (its set, C, weighting, caps) per problem
+    sets = ((X, y, ((C, class_weighting), *path)), *batch)
+    for owner, (X_s, y_s, pairs) in enumerate(sets):
+        X_s, y_s, balanced = _svm_set(X_s, y_s)
+        pairs = list(pairs)
+        for C_j, weighting in pairs:
+            if not 0.0 < C_j < math.inf:
+                raise ConfigError(f"C must be finite and > 0, got {C_j}")
+            if weighting not in ("balanced", "none"):
+                raise ConfigError(f"class_weighting must be 'balanced' or 'none'")
+        data.append((X_s, y_s))
+        problems += [(owner, C_j, weighting,
+                      C_j * (balanced if weighting == "balanced"
+                             else np.ones(y_s.size)))
+                     for C_j, weighting in pairs]
+    same_n = {}  # n -> positions in problems, set by set
+    for p, (owner, *_) in enumerate(problems):
+        same_n.setdefault(data[owner][1].size, []).append(p)
+    finished = [None] * len(problems)
+    for n, members in same_n.items():
+        size = max(1, min(_BLOCK_PROBLEMS, _KKT_BLOCK // (n + 1) ** 2))
+        blocks = [[]]
+        for _, run in groupby(members, key=lambda p: problems[p][0]):
+            run = list(run)
+            if blocks[-1] and len(blocks[-1]) + len(run) > size:
+                blocks.append([])  # a set stays in one block where it fits
+            for p in run:
+                if len(blocks[-1]) == size:
+                    blocks.append([])
+                blocks[-1].append(p)
+        for block in blocks:
+            owners, which = np.unique([problems[p][0] for p in block],
+                                      return_inverse=True)
+            done = _newton([data[o] for o in owners], which,
+                           np.array([problems[p][3] for p in block]),
+                           tol, max_iter, lapack)
+            for p, result in zip(block, done):
+                finished[p] = result
+
+    fitted = [[] for _ in sets]
+    for (owner, C_j, weighting, cap), (u_j, grad, iterations, converged) in zip(
+            problems, finished):
+        X_s, y_s = data[owner]
+        n = y_s.size
+        alpha, slack, z, s = u_j[:n], u_j[n:2 * n], u_j[2 * n:3 * n], u_j[3 * n:]
+        w = X_s.T @ (alpha * y_s)
+        lower = alpha < cap * z
+        upper = slack < cap * s
+        free = ~(lower | upper)
+        if free.any():
+            b = float(np.mean(-y_s[free] * grad[free]))
+        else:
+            yG = -y_s * grad
+            up = np.where(y_s > 0, ~upper, ~lower)
+            low = np.where(y_s > 0, ~lower, ~upper)
+            hi = yG[up].max() if up.any() else 0.0
+            lo = yG[low].min() if low.any() else 0.0
+            b = float((hi + lo) / 2.0)
+        fitted[owner].append(SvmModel(weights=w, bias=b, C=C_j,
+                                      class_weighting=weighting,
+                                      iterations=iterations,
+                                      converged=converged))
+    if batch:
+        return fitted
+    return fitted[0] if len(fitted[0]) > 1 else fitted[0][0]
+
+
+def _newton(sets, which, caps, tol, max_iter, lapack) -> list:
+    """svm_fit's Newton loop over a block of k problems of equal n: sets
+    holds the (X, y) of each training set in the block, which[j] the set
+    of problem j, caps the (k, n) stack of their caps. Per problem, in
+    order: its final iterate u, its gradient Q a - 1, its Newton steps and
+    whether it converged."""
+    k, n = caps.shape
     m = 2 * n
-    balanced = np.where(y > 0, n / (2.0 * n_pos), n / (2.0 * n_neg))
-    caps = np.array([C_j * (balanced if weighting == "balanced" else np.ones(n))
-                     for C_j, weighting in problems])
 
     def rows_times(v, A):
-        """v[j] @ A for each row j of the (k, n) stack v."""
+        """v[j] @ A[j] for each row j of the (k, n) stack v."""
         return np.matmul(v[:, None, :], A)[:, 0]
 
     def row_dots(a, b):
-        """a[j] . b[j] for each row j; b may be one vector for all rows."""
+        """a[j] . b[j] for each row j."""
         return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
-    Yx = X * y[:, None]
-    Q = Yx @ Yx.T
-    # the dual residual is judged against the size of the terms in Q @ a
-    Q_abs = np.abs(Q)
+    Qs, borders = [], []  # per set: Q, and the KKT matrix less its diagonal
+    for X_s, y_s in sets:
+        Yx = X_s * y_s[:, None]
+        Qs.append(Yx @ Yx.T)
+        borders.append(np.zeros((n + 1, n + 1), order="F"))
+        borders[-1][:n, :n] = Qs[-1]
+        borders[-1][:n, n] = borders[-1][n, :n] = y_s
+
+    def per_problem(mats):
+        """mats[which[j]] for each running problem j: a broadcast view
+        when they all share one set, so its matrix is not copied."""
+        if (which == which[0]).all():
+            return np.broadcast_to(mats[which[0]], (len(which), *mats[0].shape))
+        return np.array([mats[i] for i in which])
+
+    Q, bordered = per_problem(Qs), per_problem(borders)
+    y = np.array([y_s for _, y_s in sets])[which]
+    q_diag = np.array([Q_s.diagonal() for Q_s in Qs])[which]
     # the state of the problems still running, one row each
-    ids = np.arange(len(problems))
-    u = np.empty((len(problems), 2 * m))
+    ids = np.arange(k)
+    u = np.empty((k, 2 * m))
     u[:, :n] = caps / 2.0  # interior start
     u[:, n:m] = caps - u[:, :n]
     grad = rows_times(u[:, :n], Q) - 1.0
     u[:, m:m + n] = np.maximum(grad, 0.0) + 1.0  # z, s: dual feasible start
     u[:, m + n:] = np.maximum(-grad, 0.0) + 1.0
-    nu = np.zeros(len(problems))
-    singular = np.zeros(len(problems), dtype=bool)
-    bordered = np.zeros((n + 1, n + 1), order="F")  # the KKT less its diagonal
-    bordered[:n, :n] = Q
-    bordered[:n, n] = bordered[n, :n] = y
-    q_diag = Q.diagonal().copy()
+    nu = np.zeros(k)
+    singular = np.zeros(k, dtype=bool)
     # a KKT matrix per running problem, refilled from `bordered` every
     # step; each kkt[j] is Fortran-ordered, so LAPACK factors it in place
-    kkt = np.empty((n + 1, n + 1, len(problems)), order="F")
-    kkt = kkt.transpose(2, 0, 1)
+    kkt = np.empty((n + 1, n + 1, k), order="F").transpose(2, 0, 1)
     kkt_diag = np.einsum("kii->ki", kkt)[:, :n]
-    finished = [None] * len(problems)
+    finished = [None] * k
 
     def newton(r):
         """Fill du from the right-hand side r = (r_z, r_s) of
@@ -312,7 +419,7 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
 
     it = 0
     while True:
-        alpha, slack, z, s = u[:, :n], u[:, n:m], u[:, m:m + n], u[:, m + n:]
+        alpha, z, s = u[:, :n], u[:, m:m + n], u[:, m + n:]
         box, mult = u[:, :m], u[:, m:]
         grad = rows_times(alpha, Q) - 1.0
         r_dual = grad + nu[:, None] * y - z + s
@@ -322,17 +429,27 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
         converged = ((gap <= tol * (1.0 + np.abs(objective)))
                      & (np.abs(r_eq) <= tol * (1.0 + caps.max(axis=1))))
         if converged.any():
-            converged &= (np.abs(r_dual).max(axis=1)
-                          <= tol * (1.0 + rows_times(alpha, Q_abs).max(axis=1)))
+            # the dual residual is judged against the size of the terms
+            # in Q @ a, |Q| taken for the rows that got this far only
+            near = np.flatnonzero(converged)
+            Q_abs = Q[near]
+            np.abs(Q_abs, out=Q_abs)
+            converged[near] = (np.abs(r_dual[near]).max(axis=1) <= tol * (
+                1.0 + rows_times(alpha[near], Q_abs).max(axis=1)))
         stop = converged | singular | (it >= max_iter)
         if stop.any():
             for j in np.flatnonzero(stop):
-                finished[ids[j]] = u[j], grad[j], caps[j], it, bool(converged[j])
+                # copies, so that the stack they come from can be freed
+                finished[ids[j]] = (u[j].copy(), grad[j].copy(), it,
+                                    bool(converged[j]))
             going = ~stop
             if not going.any():
                 break
-            ids, u, nu, caps = ids[going], u[going], nu[going], caps[going]
-            singular = singular[going]
+            ids, u, nu, caps, singular, which, y, q_diag = (
+                a[going] for a in (ids, u, nu, caps, singular, which, y,
+                                   q_diag))
+            Q = bordered = None  # freed before the smaller stacks are built
+            Q, bordered = per_problem(Qs), per_problem(borders)
             kkt, kkt_diag = kkt[:len(ids)], kkt_diag[:len(ids)]
             continue  # retest the rest: no row's values depend on another's
         it += 1
@@ -356,28 +473,7 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
         step = np.minimum(1.0, 0.995 * step)  # stay inside the box
         u += step[:, None] * du
         nu += step * dnu
-
-    models = []
-    for (C_j, weighting), (u_j, grad, cap, iterations, converged) in zip(
-            problems, finished):
-        alpha, slack, z, s = u_j[:n], u_j[n:m], u_j[m:m + n], u_j[m + n:]
-        w = X.T @ (alpha * y)
-        lower = alpha < cap * z
-        upper = slack < cap * s
-        free = ~(lower | upper)
-        if free.any():
-            b = float(np.mean(-y[free] * grad[free]))
-        else:
-            yG = -y * grad
-            up = np.where(y > 0, ~upper, ~lower)
-            low = np.where(y > 0, ~lower, ~upper)
-            hi = yG[up].max() if up.any() else 0.0
-            lo = yG[low].min() if low.any() else 0.0
-            b = float((hi + lo) / 2.0)
-        models.append(SvmModel(weights=w, bias=b, C=C_j,
-                               class_weighting=weighting,
-                               iterations=iterations, converged=converged))
-    return models if len(models) > 1 else models[0]
+    return finished
 
 
 def svm_decision(model: SvmModel, X) -> np.ndarray:
@@ -445,25 +541,6 @@ def welch_t(a, b) -> tuple[float, float]:
     from scipy.special import stdtr
     p = float(2.0 * stdtr(df, -abs(t)))
     return t, p
-
-
-def chi_square_2x2(counts) -> tuple[float, float]:
-    """Pearson chi-square on a 2x2 table, no continuity correction."""
-    table = np.asarray(counts, dtype=np.float64)
-    if table.shape != (2, 2):
-        raise ValidationError(f"need a 2x2 table, got shape {table.shape}")
-    if np.any(table < 0):
-        raise ValidationError("negative counts")
-    total = table.sum()
-    if total <= 0:
-        raise ValidationError("empty table")
-    expected = np.outer(table.sum(axis=1), table.sum(axis=0)) / total
-    if np.any(expected == 0.0):
-        raise ValidationError("zero expected count")
-    stat = float(np.sum((table - expected) ** 2 / expected))
-    from scipy.special import chdtrc
-    p = float(chdtrc(1, stat))
-    return stat, p
 
 
 # ---------------------------------------------------------------------------
@@ -693,44 +770,64 @@ class FittedPipeline:
         return svm_predict(self.model, Z)
 
 
-def _fitter(X, y, configs) -> list:
-    """Fit every config on one training set: the z-scaler once, each PCA
-    mode once, and each (PCA mode, estimator) group of configs in one
-    ridge_fit or svm_fit path call. Per config, in order: its
-    FittedPipeline, or the ValidationError that stopped its group."""
-    try:
-        scaler = zscore_fit(X)
-    except ValidationError as exc:
-        return [exc] * len(configs)
-    Z = zscore_apply(scaler, X)
-    groups = {}  # (PCA mode, estimator) -> positions in configs
-    for i, config in enumerate(configs):
-        groups.setdefault((config.pca, config.estimator), []).append(i)
-    reduced = {}  # PCA mode -> (PcaModel, projected Z)
-    fitted = {}  # position in configs -> FittedPipeline or ValidationError
-    for (mode, estimator), members in groups.items():
-        head, *rest = (configs[i] for i in members)
+def _fitter(sets) -> list:
+    """Fit each training set's configs, sets being (X, y, configs)
+    triples: per set the z-scaler once, each PCA mode once, and each
+    (PCA mode, ridge) group of configs in one ridge_fit path call; every
+    SVM group of every set goes into one svm_fit batch call. Per set, per
+    config in order: its FittedPipeline, or the ValidationError that
+    stopped its group."""
+    fitted = [[None] * len(configs) for _, _, configs in sets]
+    svm_groups = []  # (results, configs, members, scaler, pca, Zp, y, pairs)
+    for out, (X, y, configs) in zip(fitted, sets):
         try:
-            if mode not in reduced:
-                pca = pca_fit(Z, mode)
-                reduced[mode] = pca, pca_apply(pca, Z)
-            pca, Zp = reduced[mode]
-            if estimator == "ridge":
-                models = ridge_fit(Zp, y, head.lam, path=[c.lam for c in rest])
-            else:
-                models = svm_fit(Zp, y, head.C, head.class_weighting,
-                                 path=[(c.C, c.class_weighting) for c in rest])
+            scaler = zscore_fit(X)
         except ValidationError as exc:
-            fitted.update(dict.fromkeys(members, exc))
+            out[:] = [exc] * len(configs)
             continue
-        for i, model in zip(members, models if rest else [models]):
-            fitted[i] = FittedPipeline(config=configs[i], scaler=scaler,
-                                       pca=pca, model=model)
-    return [fitted[i] for i in range(len(configs))]
+        Z = zscore_apply(scaler, X)
+        groups = {}  # (PCA mode, estimator) -> positions in configs
+        for i, config in enumerate(configs):
+            groups.setdefault((config.pca, config.estimator), []).append(i)
+        reduced = {}  # PCA mode -> (PcaModel, projected Z)
+        for (mode, estimator), members in groups.items():
+            head, *rest = (configs[i] for i in members)
+            try:
+                if mode not in reduced:
+                    pca = pca_fit(Z, mode)
+                    reduced[mode] = pca, pca_apply(pca, Z)
+                pca, Zp = reduced[mode]
+                if estimator == "ridge":
+                    models = ridge_fit(Zp, y, head.lam, path=[c.lam for c in rest])
+                else:
+                    _svm_set(Zp, y)  # a set svm_fit would refuse fails here
+                    svm_groups.append((out, configs, members, scaler, pca,
+                                       Zp, y, [(c.C, c.class_weighting)
+                                               for c in (head, *rest)]))
+                    continue
+            except ValidationError as exc:
+                for i in members:
+                    out[i] = exc
+                continue
+            for i, model in zip(members, models if rest else [models]):
+                out[i] = FittedPipeline(config=configs[i], scaler=scaler,
+                                        pca=pca, model=model)
+    if svm_groups:
+        (*_, Zp, y, (head, *path)), *more = svm_groups
+        models = svm_fit(Zp, y, *head, path=path,
+                         batch=[(Zp, y, pairs) for *_, Zp, y, pairs in more])
+        if not more:
+            models = [models if path else [models]]
+        for (out, configs, members, scaler, pca, *_), group in zip(
+                svm_groups, models):
+            for i, model in zip(members, group):
+                out[i] = FittedPipeline(config=configs[i], scaler=scaler,
+                                        pca=pca, model=model)
+    return fitted
 
 
 def fit_pipeline(X, y, config: PipelineConfig) -> FittedPipeline:
-    (pipe,) = _fitter(X, y, [config])
+    ((pipe,),) = _fitter([(X, y, [config])])
     if isinstance(pipe, ValidationError):
         raise pipe
     return pipe
@@ -822,9 +919,14 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
     Scaler and PCA fits happen inside each inner/outer training set only.
     Inner config-fold pairs that cannot be scored (single-class inner
     training data) are excluded from that config's mean with a warning;
-    every SVM fit that stops at max_iter gets a warning too. Results are
-    reduced by (fold, config, inner) index, so the report is identical for
-    any jobs value.
+    every SVM fit that stops at max_iter gets a warning too.
+
+    The inner splits are cut into min(jobs, splits) contiguous chunks,
+    each fitted by one _fitter call on the executor; then every fold's
+    refit of its selected config is one more _fitter call. No fit's
+    floats depend on the fits batched with it, and results are reduced
+    by (fold, config, inner) index, so the report is identical for any
+    jobs value.
     """
     if grid is None:
         grid = default_grid(target.kind)
@@ -842,50 +944,64 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
             labels = {s: float(v) for s, v in zip(data.subject_ids, data.y)}
         plan = make_fold_plan(data.subject_ids, seed=seed, labels=labels)
 
-    def fit_split(fold: int, inner: int | None, indices) -> list:
-        """Fit grid[c], c in indices, on fold's outer training set less
-        inner fold `inner` (if any) and score on the held-out subjects:
-        (FitRecord, metrics or None, warning or None) per c."""
-        held = frozenset(plan.outer[fold] if inner is None
-                         else plan.inner[fold][inner])
-        train = plan.outer_train_subjects(fold) - held
-        tr, te = data.rows_for(train), data.rows_for(held)
-        X_held, y_held = data.X[te], data.y[te]
-        stage = "outer" if inner is None else "inner"
-        tag = stage if inner is None else f"inner {inner}"
-        if inner is not None and not (tr.any() and te.any()):
-            pipes = [ValidationError("empty side")] * len(indices)
-        else:
-            pipes = _fitter(data.X[tr], data.y[tr], [grid[c] for c in indices])
+    def fit_splits(splits) -> list:
+        """Fit grid[c], c in indices, for each (fold, inner, indices) of
+        splits on fold's outer training set less inner fold `inner` (if
+        any), every split in one _fitter call, and score on the held-out
+        subjects: per split, (FitRecord, metrics or None, warning or
+        None) per c."""
+        sides, sets = [], []
+        for fold, inner, indices in splits:
+            held = frozenset(plan.outer[fold] if inner is None
+                             else plan.inner[fold][inner])
+            train = plan.outer_train_subjects(fold) - held
+            tr, te = data.rows_for(train), data.rows_for(held)
+            fit = inner is None or (tr.any() and te.any())
+            sides.append((train, held, te, fit))
+            if fit:
+                sets.append((data.X[tr], data.y[tr], [grid[c] for c in indices]))
+        fitted = iter(_fitter(sets))
         out = []
-        held_z = {}  # PCA mode -> held-out rows through the shared transform
-        for c, pipe in zip(indices, pipes):
-            record = FitRecord(stage=stage, outer_fold=fold, inner_fold=inner,
-                               config_index=c, train_subjects=train,
-                               eval_subjects=held)
-            where = f"fold {fold} config {c} {tag}"
-            if isinstance(pipe, ValidationError):
-                if inner is None:
-                    raise pipe
-                out.append((record, None, f"{where} skipped: {pipe}"))
-                continue
-            note = None
-            if isinstance(pipe.model, SvmModel) and not pipe.model.converged:
-                note = (f"{where}: SVM did not converge after "
-                        f"{pipe.model.iterations} iterations")
-            mode = grid[c].pca
-            if mode not in held_z:
-                held_z[mode] = pipe.transform(X_held)
-            metrics = _eval_metrics(target.kind, y_held,
-                                    pipe.predict_transformed(held_z[mode]))
-            out.append((record, metrics, note))
+        for (fold, inner, indices), (train, held, te, fit) in zip(splits, sides):
+            pipes = (next(fitted) if fit
+                     else [ValidationError("empty side")] * len(indices))
+            X_held, y_held = data.X[te], data.y[te]
+            stage = "outer" if inner is None else "inner"
+            tag = stage if inner is None else f"inner {inner}"
+            held_z = {}  # PCA mode -> held-out rows through the shared transform
+            units = []
+            for c, pipe in zip(indices, pipes):
+                record = FitRecord(stage=stage, outer_fold=fold,
+                                   inner_fold=inner, config_index=c,
+                                   train_subjects=train, eval_subjects=held)
+                where = f"fold {fold} config {c} {tag}"
+                if isinstance(pipe, ValidationError):
+                    if inner is None:
+                        raise pipe
+                    units.append((record, None, f"{where} skipped: {pipe}"))
+                    continue
+                note = None
+                if isinstance(pipe.model, SvmModel) and not pipe.model.converged:
+                    note = (f"{where}: SVM did not converge after "
+                            f"{pipe.model.iterations} iterations")
+                mode = grid[c].pca
+                if mode not in held_z:
+                    held_z[mode] = pipe.transform(X_held)
+                metrics = _eval_metrics(target.kind, y_held,
+                                        pipe.predict_transformed(held_z[mode]))
+                units.append((record, metrics, note))
+            out.append(units)
         return out
 
     n_outer, n_inner = len(plan.outer), len(plan.inner[0])
     every = range(len(grid))
     pairs = [(f, i) for f in range(n_outer) for i in range(n_inner)]
-    outcomes = pmap(lambda p: fit_split(*p, every), pairs, jobs)
-    fitted = dict(zip(pairs, outcomes))
+    # one _fitter call per contiguous chunk of the inner splits
+    chunks = max(1, min(jobs, len(pairs)))
+    bounds = [k * len(pairs) // chunks for k in range(chunks + 1)]
+    chunked = pmap(fit_splits, [[(f, i, every) for f, i in pairs[a:b]]
+                                for a, b in zip(bounds, bounds[1:])], jobs)
+    fitted = dict(zip(pairs, (split for chunk in chunked for split in chunk)))
 
     # the inner fits in (fold, config, inner) order; outer refits follow
     units = [fitted[f, i][c]
@@ -894,23 +1010,24 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
                        else _inner_metric(target.kind, metrics)
                        for _, metrics, _ in units])
     scores = scores.reshape(n_outer, len(grid), n_inner)
-    folds = []
+    best, inner_scores = [], []
     for f in range(n_outer):
         config_means = np.full(len(grid), -np.inf)
         for c in every:
             vals = scores[f, c][~np.isnan(scores[f, c])]
             if vals.size:
                 config_means[c] = float(vals.mean())
-        best = int(np.argmax(config_means))  # ties: lowest index
-        if not np.isfinite(config_means[best]):
+        best.append(int(np.argmax(config_means)))  # ties: lowest index
+        if not np.isfinite(config_means[best[f]]):
             raise ValidationError(f"outer fold {f}: no config could be scored")
-        units += fit_split(f, None, [best])
-        folds.append(FoldOutcome(fold=f, best_config_index=best,
-                                 best_config=grid[best],
-                                 test_metrics=units[-1][1],
-                                 inner_scores=tuple(float(v) if np.isfinite(v)
-                                                    else float("nan")
-                                                    for v in config_means)))
+        inner_scores.append(tuple(float(v) if np.isfinite(v) else float("nan")
+                                  for v in config_means))
+    refits = fit_splits([(f, None, [best[f]]) for f in range(n_outer)])
+    units += [unit for (unit,) in refits]
+    folds = [FoldOutcome(fold=f, best_config_index=best[f],
+                         best_config=grid[best[f]], test_metrics=metrics,
+                         inner_scores=inner_scores[f])
+             for f, ((_, metrics, _),) in enumerate(refits)]
     fit_log = [record for record, _, _ in units]
     notes = [note for _, _, note in units if note is not None]
 

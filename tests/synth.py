@@ -13,6 +13,14 @@ from scipy.signal import lfilter
 
 from cogspeech import wavio
 from cogspeech.corpus import Segment, Timeline, serialize_rttm
+from cogspeech.dsp import Signal
+
+
+def make_sine(freq_hz: float, duration_s: float, sample_rate: int,
+              peak: float = 1.0, phase: float = 0.0) -> Signal:
+    """Reference tone."""
+    t = np.arange(int(round(duration_s * sample_rate))) / sample_rate
+    return Signal(peak * np.sin(2 * np.pi * freq_hz * t + phase), sample_rate)
 
 
 def pulse_train(f0: float, dur_s: float, fs: int, jitter_frac: float = 0.0,

@@ -17,6 +17,7 @@ import pytest
 
 import oracles
 import synth
+from synth import make_sine
 from cogspeech.cli import main
 from cogspeech.corpus import Segment, Timeline, serialize_rttm
 from cogspeech.diar_eval import (
@@ -24,7 +25,7 @@ from cogspeech.diar_eval import (
     run_grid_search, score_pair,
 )
 from cogspeech.dsp import (
-    Signal, design_highpass, magnitude_response_db, make_sine,
+    Signal, design_highpass, magnitude_response_db,
     measure_loudness, normalize_loudness,
 )
 from cogspeech.features import (

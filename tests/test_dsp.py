@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from synth import make_sine
 from cogspeech import dsp
 from cogspeech.dsp import (
     GateConfig, PreprocessConfig, Signal, apply_filter, design_highpass,
-    estimate_noise_profile, magnitude_response_db, make_sine,
+    estimate_noise_profile, magnitude_response_db,
     measure_loudness, normalize_loudness, preprocess_chain, spectral_gate,
 )
 from cogspeech.errors import ConfigError, ValidationError

@@ -10,7 +10,8 @@ from scipy.signal import sawtooth
 
 import oracles
 import synth
-from cogspeech.dsp import Signal, make_sine
+from synth import make_sine
+from cogspeech.dsp import Signal
 from cogspeech.errors import InputError, ValidationError
 from cogspeech.features import (
     EG_ALL_NAMES, EG_PROSODY_NAMES, EG_VQUAL_NAMES, FRAME_S, HOP_S,

@@ -19,7 +19,7 @@ from cogspeech.corpus import LabelHierarchy
 from cogspeech.errors import ConfigError, ValidationError
 from cogspeech.model import (
     SVM_CS, Dataset, FitRecord, FittedPipeline, FoldPlan, PipelineConfig,
-    TargetSpec, assert_no_leakage, balanced_accuracy, chi_square_2x2, config_from_dict,
+    TargetSpec, assert_no_leakage, balanced_accuracy, config_from_dict,
     config_to_dict, default_grid, extract_target, fit_pipeline, holdout_eval,
     make_fold_plan, nested_cv, pca_apply, pca_fit, pearson_r, predict_ridge,
     r2, ridge_fit, svm_decision, svm_feature_importance, svm_fit, svm_predict,
@@ -406,31 +406,115 @@ def test_svm_path_entries_are_bitwise_their_solo_fits(problem, order, size):
             (solo.iterations, solo.converged)
 
 
+@st.composite
+def svm_training_sets(draw):
+    """1-4 training sets of mixed n and d, each with its own order and
+    number of grid pairs; a set may repeat the first one's rows under
+    permuted labels, so that sets of equal n but different Q share a
+    block."""
+    sets = []
+    for _ in range(draw(st.integers(1, 4))):
+        X, y, _, _, _ = draw(svm_stress_problem())
+        if sets and draw(st.booleans()):
+            X = sets[0][0]
+            y = np.random.default_rng(draw(st.integers(0, 99))).permutation(
+                sets[0][1])
+        pairs = draw(st.permutations(GRID_PAIRS))
+        sets.append((X, y, pairs[:draw(st.integers(1, len(pairs)))]))
+    return sets, draw(st.sampled_from([1, 2, 3, 100]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(svm_training_sets(), st.sampled_from([1, 2000, None]))
+def test_svm_batch_entries_are_bitwise_their_solo_fits(drawn, block):
+    # block: the KKT entries a block may hold (None: the module's own), so
+    # that blocks of one problem and blocks cut within a set are drawn too
+    import cogspeech.model as model_mod
+    sets, max_iter = drawn
+    (X, y, ((C, weighting), *path)), *batch = sets
+    with mock.patch.object(model_mod, "_KKT_BLOCK",
+                           block or model_mod._KKT_BLOCK):
+        fitted = svm_fit(X, y, C, weighting, max_iter=max_iter, path=path,
+                         batch=batch)
+    if not batch:
+        fitted = [fitted if path else [fitted]]
+    assert [len(models) for models in fitted] == \
+        [len(pairs) for _, _, pairs in sets]
+    for (X, y, pairs), models in zip(sets, fitted):
+        for (C, weighting), model in zip(pairs, models):
+            solo = svm_fit(X, y, C, weighting, max_iter=max_iter)
+            assert (model.C, model.class_weighting) == (C, weighting)
+            assert model.weights.tobytes() == solo.weights.tobytes()
+            assert np.float64(model.bias).tobytes() == \
+                np.float64(solo.bias).tobytes()
+            assert (model.iterations, model.converged) == \
+                (solo.iterations, solo.converged)
+
+
+def test_svm_batch_validates_every_set_before_solving():
+    X, y = blobs(seed=4)
+    with pytest.raises(ValidationError, match="single-class"):
+        svm_fit(X, y, 1.0, batch=[(X, np.ones(len(y)), [(1.0, "none")])])
+    with pytest.raises(ConfigError):
+        svm_fit(X, y, 1.0, batch=[(X, y, [(0.0, "none")])])
+
+
 def test_svm_singular_kkt_stops_only_its_own_problem(monkeypatch):
-    # a factorization that calls the second problem's KKT matrix singular:
-    # that problem stops unconverged at its first step, the others run on
+    # a factorization that calls the second problem's KKT matrix of the
+    # (n+1)-sized block singular: that problem stops unconverged at its
+    # first step, the others of its set and of the other set run on
     from scipy.linalg import lapack
     X, y = blobs(seed=4)
+    X_other, y_other = blobs(seed=5, n=12)
     real_dgetrf = lapack.dgetrf
-    calls = []
-
-    def dgetrf(a, **kwargs):
-        calls.append(a)  # the first step factors problem 0, then problem 1
-        lu, piv, info = real_dgetrf(a, **kwargs)
-        return lu, piv, 1 if len(calls) == 2 else info
-
     pairs = [(1.0, "none"), (0.01, "none"), (10.0, "balanced")]
-    with monkeypatch.context() as patched:
-        patched.setattr(lapack, "dgetrf", dgetrf)
-        batch = svm_fit(X, y, *pairs[0], path=pairs[1:])
-    stopped = batch[1]
-    assert (stopped.iterations, stopped.converged) == (1, False)
-    assert np.all(np.isfinite(stopped.weights)) and math.isfinite(stopped.bias)
-    for pair, model in zip(pairs[::2], batch[::2]):
-        solo = svm_fit(X, y, *pair)
-        assert solo.converged and model.converged
-        assert model.weights.tobytes() == solo.weights.tobytes()
-        assert model.iterations == solo.iterations
+
+    def fit_with_one_singular(*args, **kwargs):
+        calls = []
+
+        def dgetrf(a, **kw):
+            lu, piv, info = real_dgetrf(a, **kw)
+            if len(a) == len(y) + 1:  # X's first step: problem 0, then 1
+                calls.append(a)
+                info = 1 if len(calls) == 2 else info
+            return lu, piv, info
+
+        with monkeypatch.context() as patched:
+            patched.setattr(lapack, "dgetrf", dgetrf)
+            return svm_fit(*args, **kwargs)
+
+    in_path = fit_with_one_singular(X, y, *pairs[0], path=pairs[1:])
+    other, in_batch = fit_with_one_singular(X_other, y_other, 1.0, "none",
+                                            batch=[(X, y, pairs)])
+    assert other[0].weights.tobytes() == \
+        svm_fit(X_other, y_other, 1.0, "none").weights.tobytes()
+    for fitted in (in_path, in_batch):
+        stopped = fitted[1]
+        assert (stopped.iterations, stopped.converged) == (1, False)
+        assert np.all(np.isfinite(stopped.weights)) and \
+            math.isfinite(stopped.bias)
+        for pair, model in zip(pairs[::2], fitted[::2]):
+            solo = svm_fit(X, y, *pair)
+            assert solo.converged and model.converged
+            assert model.weights.tobytes() == solo.weights.tobytes()
+            assert model.iterations == solo.iterations
+
+
+def test_svm_grid_memory_at_a_thousand_rows():
+    # a block holds one problem at this n, so the 8-problem grid keeps one
+    # problem's KKT matrices rather than eight
+    import tracemalloc
+    data = synth.planted_classification(1000, n_features=32, seed=3)
+    Z = zscore_apply(zscore_fit(data.X), data.X)
+    (C, weighting), *path = GRID_PAIRS
+    tracemalloc.start()
+    try:
+        models = svm_fit(Z, data.y, C, weighting, path=path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(models) == len(GRID_PAIRS)
+    assert peak < 60e6
 
 
 def test_no_svm_fit_stops_at_its_cap_on_permuted_labels(monkeypatch):
@@ -440,7 +524,7 @@ def test_no_svm_fit_stops_at_its_cap_on_permuted_labels(monkeypatch):
 
     def recording_fit(*args, **kwargs):
         fitted = real_fit(*args, **kwargs)
-        models.extend(fitted if kwargs.get("path") else [fitted])
+        models.extend(m for group in fitted for m in group)  # a batch call
         return fitted
 
     monkeypatch.setattr(model_mod, "svm_fit", recording_fit)
@@ -591,25 +675,6 @@ def test_first_svm_fit_in_nested_cv_threads_loads_scipy_linalg():
 def test_welch_needs_two_per_sample():
     with pytest.raises(ValidationError):
         welch_t([1.0], [1.0, 2.0])
-
-
-def test_chi_square_hand_table():
-    stat, p = chi_square_2x2([[10, 20], [20, 10]])
-    # expected 15 everywhere -> 4 * 25/15
-    assert stat == pytest.approx(100.0 / 15.0, abs=1e-12)
-    ref_stat, ref_p, _, _ = sstats.chi2_contingency([[10, 20], [20, 10]],
-                                                    correction=False)
-    assert stat == pytest.approx(ref_stat, abs=1e-12)
-    assert p == pytest.approx(ref_p, abs=1e-12)
-
-
-def test_chi_square_validation():
-    with pytest.raises(ValidationError):
-        chi_square_2x2([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(ValidationError):
-        chi_square_2x2([[-1, 2], [3, 4]])
-    with pytest.raises(ValidationError):
-        chi_square_2x2([[0, 0], [3, 4]])
 
 
 # ---------------------------------------------------------------------------
@@ -777,11 +842,12 @@ def test_nested_cv_jobs_do_not_change_report():
             (synth.planted_classification(40, seed=5),
              TargetSpec(3, "mci", "classification"))):
         r1, log1 = nested_cv(data, target, seed=3, jobs=1)
-        r4, log4 = nested_cv(data, target, seed=3, jobs=4)
-        assert json.dumps(r1.to_dict(), sort_keys=True) == \
-            json.dumps(r4.to_dict(), sort_keys=True)
-        assert r1.warnings == r4.warnings
-        assert [r.to_dict() for r in log1] == [r.to_dict() for r in log4]
+        for jobs in (2, 3, 4):  # the inner splits cut into 2, 3 and 4 chunks
+            rj, logj = nested_cv(data, target, seed=3, jobs=jobs)
+            assert json.dumps(r1.to_dict(), sort_keys=True) == \
+                json.dumps(rj.to_dict(), sort_keys=True)
+            assert r1.warnings == rj.warnings
+            assert [r.to_dict() for r in log1] == [r.to_dict() for r in logj]
 
 
 def test_nested_cv_fits_scaler_and_pca_once_per_training_set():
@@ -801,22 +867,28 @@ def test_nested_cv_fits_scaler_and_pca_once_per_training_set():
 
 def test_nested_cv_fits_through_the_public_estimators():
     # the benchmark times svm_fit, ridge_fit and pca_fit by swapping the
-    # module's bindings, so nested_cv must call each of them by name: one
-    # path call per (training set, PCA mode), 15 inner and 5 outer sets
+    # module's bindings, so nested_cv must call each of them by name: pca_fit
+    # once per (training set, PCA mode), 15 inner and 5 outer sets; ridge_fit
+    # one path call per (training set, PCA mode); svm_fit one batch call for
+    # the inner stage and one for the outer refits
     import cogspeech.model as model_mod
-    for data, target, estimator in (
+    per_set_and_mode = 15 * len(model_mod.PCA_MODES) + 5
+    for data, target, estimator, calls in (
             (synth.planted_regression(40, seed=5),
-             TargetSpec(3, "cerad_total", "regression"), "ridge_fit"),
+             TargetSpec(3, "cerad_total", "regression"), "ridge_fit",
+             per_set_and_mode),
             (synth.planted_classification(40, seed=5),
-             TargetSpec(3, "mci", "classification"), "svm_fit")):
+             TargetSpec(3, "mci", "classification"), "svm_fit", 2)):
         with mock.patch.object(model_mod, estimator,
                                wraps=getattr(model_mod, estimator)) as fit, \
                 mock.patch.object(model_mod, "pca_fit",
                                   wraps=model_mod.pca_fit) as pca:
             _, fit_log = nested_cv(data, target, seed=3)
-        assert fit.call_count == pca.call_count == \
-            15 * len(model_mod.PCA_MODES) + 5
+        assert fit.call_count == calls
+        assert pca.call_count == per_set_and_mode
         models = sum(1 + len(call.kwargs["path"])
+                     + sum(len(pairs) for *_, pairs in call.kwargs["batch"])
+                     if estimator == "svm_fit" else 1 + len(call.kwargs["path"])
                      for call in fit.call_args_list)
         assert models == len(fit_log)
 

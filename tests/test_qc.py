@@ -6,8 +6,9 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from synth import make_sine
 from cogspeech import qc
-from cogspeech.dsp import Signal, make_sine
+from cogspeech.dsp import Signal
 from cogspeech.errors import ValidationError
 from cogspeech.qc import (
     QcMetrics, QcThresholds, clipping_ratio, estimate_snr_quantile,

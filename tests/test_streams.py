@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from synth import make_sine
 from cogspeech.corpus import Segment, Timeline
-from cogspeech.dsp import Signal, make_sine
+from cogspeech.dsp import Signal
 from cogspeech.errors import ValidationError
 from cogspeech.streams import (
     audit_transitions, build_concatenated, build_prosody_preserved,
