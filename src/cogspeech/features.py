@@ -17,7 +17,8 @@ zero-copy strided views of the samples, and every per-frame decision
 (peak picking, pulse-window statistics, the Levinson-Durbin recursion,
 formant selection) runs as array operations over all frames at once.
 Frames and their levels come from ``dsp._frame_levels``, the meter that
-QC shares. They go through the level meter, the FFTs, autocorrelations and
+QC shares; formants, which need no level, take the bare frame view of
+``dsp._frame_signal``. They go through the level meter, the FFTs, autocorrelations and
 companion-matrix eigenvalues in the blocks of ``dsp._blocks`` (at most
 ``dsp._BLOCK_FRAMES`` frames), so the transient arrays have a fixed size
 and peak memory does not grow with the length of the recording; only the
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Signal, _blocks, _frame_levels, _runs
+from .dsp import Signal, _blocks, _frame_levels, _frame_signal, _runs
 from .errors import InputError, ValidationError
 
 FRAME_S = 0.025
@@ -477,7 +478,7 @@ def formant_bandwidths(x: Signal, f0c: LldContour, order: int | None = None,
     fs = x.sample_rate
     if order is None:
         order = fs // 1000 + 2
-    frames, _ = _frame_levels(x, frame_s, hop_s)
+    frames = _frame_signal(x.samples, round(frame_s * fs), round(hop_s * fs))
     nf = min(frames.shape[0], len(f0c))
     window = np.hamming(frames.shape[1])
     voiced = np.flatnonzero(f0c.voiced_mask[:nf])

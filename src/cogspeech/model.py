@@ -24,7 +24,7 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 
@@ -192,12 +192,12 @@ class SvmModel:
 
 
 # Problems of equal n share the Newton loop in blocks of at most
-# _BLOCK_PROBLEMS problems whose stacked KKT matrices hold at most
+# _BLOCK_PROBLEMS problems whose stacked (n+1)^2 KKT matrices hold at most
 # _KKT_BLOCK entries, and at least one problem. The first cap bounds the
 # per-step state where n is small (64 problems share each step's call
-# overhead nearly as well as hundreds do); the second bounds the KKT
-# stack where n is large: a whole 8-problem grid up to n = 361, one
-# problem from n = 724.
+# overhead nearly as well as hundreds do); the second bounds the stacks
+# of Q, of the KKT matrices and of the transient |Q| where n is large: a
+# whole 8-problem grid up to n = 361, one problem from n = 724.
 _BLOCK_PROBLEMS = 64
 _KKT_BLOCK = 1 << 20
 
@@ -248,12 +248,10 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
     is validated before any problem is solved.
 
     Every problem of the call, whatever its set, runs in one Newton loop:
-    problems of equal n share it in blocks of at most _BLOCK_PROBLEMS
-    problems and _KKT_BLOCK stacked KKT entries, each row of a block's
-    state one problem with its set's Q and y. A set's problems stay in
-    one block where they fit; a block of one set reads that set's Q
-    through a broadcast view, and a block of several stacks one copy per
-    problem. A problem leaves the loop at the step where it converges, so
+    problems of equal n, in order, share it in consecutive blocks of at
+    most _BLOCK_PROBLEMS problems and _KKT_BLOCK stacked KKT entries, each
+    row of a block's state one problem with its own copy of its set's Q
+    and y. A problem leaves the loop at the step where it converges, so
     its `iterations` and `converged` are those of a solo fit. Every
     reduction is a matmul over the stack, which works row by row, and
     each problem's KKT system is factored and solved by its own LAPACK
@@ -300,19 +298,15 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
     finished = [None] * len(problems)
     for n, members in same_n.items():
         size = max(1, min(_BLOCK_PROBLEMS, _KKT_BLOCK // (n + 1) ** 2))
-        blocks = [[]]
-        for _, run in groupby(members, key=lambda p: problems[p][0]):
-            run = list(run)
-            if blocks[-1] and len(blocks[-1]) + len(run) > size:
-                blocks.append([])  # a set stays in one block where it fits
-            for p in run:
-                if len(blocks[-1]) == size:
-                    blocks.append([])
-                blocks[-1].append(p)
-        for block in blocks:
-            owners, which = np.unique([problems[p][0] for p in block],
-                                      return_inverse=True)
-            done = _newton([data[o] for o in owners], which,
+        for start in range(0, len(members), size):
+            block = members[start:start + size]
+            owners = np.array([problems[p][0] for p in block])
+            Q = np.empty((len(block), n, n))
+            for owner in np.unique(owners):
+                X_s, y_s = data[owner]
+                Yx = X_s * y_s[:, None]
+                Q[owners == owner] = Yx @ Yx.T
+            done = _newton(Q, np.array([data[o][1] for o in owners]),
                            np.array([problems[p][3] for p in block]),
                            tol, max_iter, lapack)
             for p, result in zip(block, done):
@@ -346,12 +340,12 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
     return fitted[0] if len(fitted[0]) > 1 else fitted[0][0]
 
 
-def _newton(sets, which, caps, tol, max_iter, lapack) -> list:
-    """svm_fit's Newton loop over a block of k problems of equal n: sets
-    holds the (X, y) of each training set in the block, which[j] the set
-    of problem j, caps the (k, n) stack of their caps. Per problem, in
-    order: its final iterate u, its gradient Q a - 1, its Newton steps and
-    whether it converged."""
+def _newton(Q, y, caps, tol, max_iter, lapack) -> list:
+    """svm_fit's Newton loop over a block of k problems of equal n: Q is
+    the (k, n, n) stack of their Q matrices, which the loop overwrites,
+    y and caps the (k, n) stacks of their labels and caps. Per problem,
+    in order: its final iterate u, its gradient Q a - 1, its Newton steps
+    and whether it converged."""
     k, n = caps.shape
     m = 2 * n
 
@@ -363,24 +357,6 @@ def _newton(sets, which, caps, tol, max_iter, lapack) -> list:
         """a[j] . b[j] for each row j."""
         return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
 
-    Qs, borders = [], []  # per set: Q, and the KKT matrix less its diagonal
-    for X_s, y_s in sets:
-        Yx = X_s * y_s[:, None]
-        Qs.append(Yx @ Yx.T)
-        borders.append(np.zeros((n + 1, n + 1), order="F"))
-        borders[-1][:n, :n] = Qs[-1]
-        borders[-1][:n, n] = borders[-1][n, :n] = y_s
-
-    def per_problem(mats):
-        """mats[which[j]] for each running problem j: a broadcast view
-        when they all share one set, so its matrix is not copied."""
-        if (which == which[0]).all():
-            return np.broadcast_to(mats[which[0]], (len(which), *mats[0].shape))
-        return np.array([mats[i] for i in which])
-
-    Q, bordered = per_problem(Qs), per_problem(borders)
-    y = np.array([y_s for _, y_s in sets])[which]
-    q_diag = np.array([Q_s.diagonal() for Q_s in Qs])[which]
     # the state of the problems still running, one row each
     ids = np.arange(k)
     u = np.empty((k, 2 * m))
@@ -391,8 +367,8 @@ def _newton(sets, which, caps, tol, max_iter, lapack) -> list:
     u[:, m + n:] = np.maximum(-grad, 0.0) + 1.0
     nu = np.zeros(k)
     singular = np.zeros(k, dtype=bool)
-    # a KKT matrix per running problem, refilled from `bordered` every
-    # step; each kkt[j] is Fortran-ordered, so LAPACK factors it in place
+    # a KKT matrix per running problem, refilled from Q and y every step;
+    # each kkt[j] is Fortran-ordered, so LAPACK factors it in place
     kkt = np.empty((n + 1, n + 1, k), order="F").transpose(2, 0, 1)
     kkt_diag = np.einsum("kii->ki", kkt)[:, :n]
     finished = [None] * k
@@ -436,6 +412,7 @@ def _newton(sets, which, caps, tol, max_iter, lapack) -> list:
             np.abs(Q_abs, out=Q_abs)
             converged[near] = (np.abs(r_dual[near]).max(axis=1) <= tol * (
                 1.0 + rows_times(alpha[near], Q_abs).max(axis=1)))
+            del Q_abs  # freed before Q is compacted below
         stop = converged | singular | (it >= max_iter)
         if stop.any():
             for j in np.flatnonzero(stop):
@@ -445,17 +422,19 @@ def _newton(sets, which, caps, tol, max_iter, lapack) -> list:
             going = ~stop
             if not going.any():
                 break
-            ids, u, nu, caps, singular, which, y, q_diag = (
-                a[going] for a in (ids, u, nu, caps, singular, which, y,
-                                   q_diag))
-            Q = bordered = None  # freed before the smaller stacks are built
-            Q, bordered = per_problem(Qs), per_problem(borders)
-            kkt, kkt_diag = kkt[:len(ids)], kkt_diag[:len(ids)]
+            ids, u, nu, caps, singular, y = (
+                a[going] for a in (ids, u, nu, caps, singular, y))
+            Q[:len(ids)] = Q[going]  # in place, like kkt: no second stack
+            Q, kkt, kkt_diag = (a[:len(ids)] for a in (Q, kkt, kkt_diag))
             continue  # retest the rest: no row's values depend on another's
         it += 1
         q = mult / box
-        kkt[:] = bordered
-        kkt_diag[:] = q_diag + (q[:, :n] + q[:, n:])
+        # Q is exactly symmetric (X X' comes from BLAS syrk), so its
+        # transpose fills the Fortran-ordered kkt[j] in memory order
+        kkt[:, :n, :n] = Q.transpose(0, 2, 1)
+        kkt[:, :n, n] = kkt[:, n, :n] = y
+        kkt[:, n, n] = 0.0
+        kkt_diag += q[:, :n] + q[:, n:]
         factors = [lapack.dgetrf(a, overwrite_a=True) for a in kkt]
         singular |= np.array([info > 0 for _, _, info in factors])
         du, ratio = np.empty_like(u), np.empty_like(u)
@@ -485,7 +464,7 @@ def svm_predict(model: SvmModel, X) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Metrics and group statistics
+# Metrics
 
 
 def pearson_r(y, yhat) -> float:
@@ -523,24 +502,6 @@ def balanced_accuracy(y, yhat) -> float:
     total = Counter(y.ravel().tolist())
     hits = Counter(y[y == yhat].tolist())
     return float(np.mean([hits[c] / total[c] for c in sorted(total)]))
-
-
-def welch_t(a, b) -> tuple[float, float]:
-    """Unequal-variance t with Welch-Satterthwaite df; two-sided p."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if len(a) < 2 or len(b) < 2:
-        raise ValidationError("need n >= 2 per sample")
-    va, vb = a.var(ddof=1), b.var(ddof=1)
-    na, nb = len(a), len(b)
-    se2 = va / na + vb / nb
-    if se2 == 0.0:
-        return 0.0, 1.0  # identical constants
-    t = float((a.mean() - b.mean()) / math.sqrt(se2))
-    df = se2 ** 2 / ((va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1))
-    from scipy.special import stdtr
-    p = float(2.0 * stdtr(df, -abs(t)))
-    return t, p
 
 
 # ---------------------------------------------------------------------------
