@@ -12,12 +12,15 @@ Alpha semantics of the spectral gate: bins below the noise threshold are
 multiplied by (1 - alpha), i.e. alpha is the attenuation fraction, so
 alpha = 0 leaves the signal untouched and alpha = 1 zeroes gated bins.
 
-Memory: the gate's STFT, gain, inverse FFT and overlap-add, the
-K-weighting filter and the meters all run in fixed blocks of frames or
-samples, with every sum taken in the same order as one whole-array pass,
-so the outputs are bitwise those of the unblocked forms. What grows with
-the recording is each stage's output and the noise profile's (frames x
-bins) magnitudes, which the exact per-bin quantile needs.
+Memory: the gate's STFT, gain and inverse FFT, the K-weighting filter
+and the meters all run in fixed blocks of frames or samples, with every
+sum taken in the same order as one whole-array pass, so the outputs are
+bitwise those of the unblocked forms. The gate overlap-adds each block's
+frames straight into one array over its padded axis (x plus about a
+frame on each side), divides by one hop-long squared-window sum and
+returns the view of x. What grows with the recording is each stage's output and the
+noise profile's (frames x bins) magnitudes, which the exact per-bin
+quantile needs.
 """
 
 from __future__ import annotations
@@ -130,9 +133,9 @@ def design_highpass(order: int, cutoff_hz: float, sample_rate: int) -> FilterSpe
     Bilinear transform with prewarping at the cutoff, so the half-power
     point (-3.01 dB) lands exactly on cutoff_hz.
     """
-    if cutoff_hz >= sample_rate / 2:
-        raise ConfigError(f"cutoff {cutoff_hz} Hz at or above Nyquist "
-                          f"({sample_rate / 2} Hz)")
+    if not (0.0 < cutoff_hz < sample_rate / 2):  # also rejects NaN
+        raise ConfigError(f"cutoff {cutoff_hz} Hz outside (0, Nyquist = "
+                          f"{sample_rate / 2} Hz)")
     if order < 1:
         raise ConfigError(f"order must be >= 1, got {order}")
     from scipy import signal as sps
@@ -193,6 +196,9 @@ class GateConfig:
         if not (0.0 < self.noise_quantile < 1.0):
             raise ConfigError(f"noise_quantile must be in (0, 1), got "
                               f"{self.noise_quantile}")
+        if not math.isfinite(self.threshold_margin_db):
+            raise ConfigError(f"threshold_margin_db must be finite, got "
+                              f"{self.threshold_margin_db}")
         if self.window != "hann":
             raise ConfigError(f"unsupported window {self.window!r}")
 
@@ -272,21 +278,26 @@ def spectral_gate(x: Signal, cfg: GateConfig | None = None) -> Signal:
     # Frames are taken from x behind frame_len zeros: frame m starts at
     # padded position m * hop, and padded position p holds x[p - pad].
     # Hop-wide chunk c of the padded axis sums the terms of frames
-    # c - k + 1 .. c, always in ascending frame order, so each sample's
-    # overlap-add runs exactly as a frame-by-frame loop would.  A chunk
-    # is final once its own frame is in; the k - 1 chunks after a block
-    # carry over to the next.
+    # c - k + 1 .. c; adding offset d = k - 1 .. 0 in turn, block after
+    # block, sums them in ascending frame order, as a frame-by-frame
+    # loop would.  Inside x every chunk has all k of its frames, so its
+    # squared-window sum is the same hop-long period, taken in that order;
+    # n >= frame_len >= hop puts every phase of it inside x.
     n, flen, hop = len(x), cfg.frame_len, cfg.hop
     pad = flen
     k = -(-flen // hop)
     win = np.hanning(flen)
     win_sq = np.zeros(k * hop)
     win_sq[:flen] = win * win
-    out = np.empty(n)
-    carry = np.zeros((k - 1, hop))
-    carry_norm = np.zeros((k - 1, hop))
-    # frames that start before the last output sample
-    for b in _blocks(-(-(n + pad) // hop)):
+    norm = np.zeros(hop)
+    for d in range(k - 1, -1, -1):
+        norm += win_sq[d * hop:(d + 1) * hop]
+    if not np.all(norm > 1e-12):
+        raise ConfigError(f"frame/hop combination leaves gaps: frame_len="
+                          f"{cfg.frame_len} hop={cfg.hop}")
+    n_frames = -(-(n + pad) // hop)  # frames that start before x ends
+    out = np.zeros((n_frames + k - 1, hop))
+    for b in _blocks(n_frames):
         nb, p0 = b.stop - b.start, b.start * hop
         seg = np.zeros((nb - 1) * hop + flen)  # the block's padded samples
         lo, hi = max(p0, pad), min(p0 + len(seg), pad + n)
@@ -295,26 +306,10 @@ def spectral_gate(x: Signal, cfg: GateConfig | None = None) -> Signal:
         gain = np.where(np.abs(spec) < threshold[None, :], 1.0 - cfg.alpha, 1.0)
         terms = np.zeros((nb, k * hop))
         terms[:, :flen] = np.fft.irfft(spec * gain, n=flen, axis=1) * win
-
-        acc = np.zeros((nb + k - 1, hop))
-        norm = np.zeros((nb + k - 1, hop))
-        acc[:k - 1] = carry
-        norm[:k - 1] = carry_norm
-        for d in range(k - 1, -1, -1):  # frame b.start + i - d into chunk i
-            acc[d:d + nb] += terms[:, d * hop:(d + 1) * hop]
-            norm[d:d + nb] += win_sq[d * hop:(d + 1) * hop]
-        carry, carry_norm = acc[nb:], norm[nb:]
-
-        # the block's own chunks are final; write those inside x
-        lo, hi = max(p0, pad), min(p0 + nb * hop, pad + n)
-        if hi <= lo:
-            continue
-        done = norm[:nb].reshape(-1)[lo - p0:hi - p0]
-        if not np.all(done > 1e-12):
-            raise ConfigError(f"frame/hop combination leaves gaps: frame_len="
-                              f"{cfg.frame_len} hop={cfg.hop}")
-        out[lo - pad:hi - pad] = acc[:nb].reshape(-1)[lo - p0:hi - p0] / done
-    return Signal(out, x.sample_rate)
+        for d in range(k - 1, -1, -1):  # frame m into chunk m + d
+            out[b.start + d:b.stop + d] += terms[:, d * hop:(d + 1) * hop]
+    out /= norm
+    return Signal(out.reshape(-1)[pad:pad + n], x.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -424,6 +419,8 @@ class NormalizeResult:
 
 def normalize_loudness(x: Signal, target_lufs: float = -23.0) -> NormalizeResult:
     """Scale to the target integrated loudness with a single gain."""
+    if not math.isfinite(target_lufs):
+        raise ConfigError(f"target_lufs must be finite, got {target_lufs}")
     measured = measure_loudness(x)
     if measured.below_gate:
         raise ValidationError("input below the absolute loudness gate; "

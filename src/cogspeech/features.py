@@ -579,46 +579,36 @@ def extract_feature_sets(prosody: Signal | None, concat: Signal | None
     Either stream may be None (failed upstream); its features are then
     absent rather than fabricated, and EG_ALL records the gap.
     """
-    prosody_vals: dict = {}
-    prosody_absent: list = []
-    if prosody is not None:
+    if prosody is None:
+        eg_prosody = FeatureVector("EG_PROSODY", {}, EG_PROSODY_NAMES)
+    else:
         f0p = track_f0(prosody)
         _, frame_db = _frame_levels(prosody, FRAME_S, HOP_S)
         rms_contour = LldContour("rms_db", frame_db,
                                  frame_db > ENERGY_FLOOR_DBFS)
         fv = apply_functionals([f0p, rms_contour], set_tag="EG_PROSODY")
-        prosody_vals.update(fv.values)
-        prosody_absent.extend(fv.absent)
-        prosody_vals.update(_voicing_stats(f0p))
-        prosody_vals.update(_pause_stats(frame_db, prosody.duration_s))
-        ordered = {n: prosody_vals[n] for n in EG_PROSODY_NAMES
-                   if n in prosody_vals}
-        prosody_vals = ordered
-    else:
-        prosody_absent = list(EG_PROSODY_NAMES)
-    eg_prosody = FeatureVector("EG_PROSODY", prosody_vals,
-                               tuple(prosody_absent))
+        found = {**fv.values, **_voicing_stats(f0p),
+                 **_pause_stats(frame_db, prosody.duration_s)}
+        eg_prosody = FeatureVector(
+            "EG_PROSODY", {n: found[n] for n in EG_PROSODY_NAMES if n in found},
+            fv.absent)
 
-    vqual_vals: dict = {}
-    vqual_absent: list = []
-    if concat is not None:
+    if concat is None:
+        eg_vqual = FeatureVector("EG_VQUAL", {}, EG_VQUAL_NAMES)
+    else:
         f0c = track_f0(concat)
         jit, shim, hnr = jitter_shimmer_hnr(concat, f0c)
         slopes = spectral_slopes(concat, f0c)
         formants = formant_bandwidths(concat, f0c)
         fv = apply_functionals([jit, shim, hnr, *slopes, *formants],
                                set_tag="EG_VQUAL")
-        vqual_vals = {n: fv.values[n] for n in EG_VQUAL_NAMES if n in fv.values}
-        vqual_absent = list(fv.absent)
-    else:
-        vqual_absent = list(EG_VQUAL_NAMES)
-    eg_vqual = FeatureVector("EG_VQUAL", vqual_vals, tuple(vqual_absent))
+        eg_vqual = FeatureVector(
+            "EG_VQUAL", {n: fv.values[n] for n in EG_VQUAL_NAMES if n in fv.values},
+            fv.absent)
 
-    all_vals = dict(eg_prosody.values)
-    all_vals.update(eg_vqual.values)
-    eg_all = FeatureVector("EG_ALL", all_vals,
-                           eg_prosody.absent + eg_vqual.absent)
-    return eg_prosody, eg_vqual, eg_all
+    return eg_prosody, eg_vqual, FeatureVector(
+        "EG_ALL", {**eg_prosody.values, **eg_vqual.values},
+        eg_prosody.absent + eg_vqual.absent)
 
 
 # ---------------------------------------------------------------------------

@@ -285,8 +285,9 @@ def svm_fit(X, y, C: float, class_weighting: str = "balanced",
         for C_j, weighting in pairs:
             if not 0.0 < C_j < math.inf:
                 raise ConfigError(f"C must be finite and > 0, got {C_j}")
-            if weighting not in ("balanced", "none"):
-                raise ConfigError(f"class_weighting must be 'balanced' or 'none'")
+            if weighting not in CLASS_WEIGHTINGS:
+                raise ConfigError(f"class_weighting must be one of "
+                                  f"{CLASS_WEIGHTINGS}, got {weighting!r}")
         data.append((X_s, y_s))
         problems += [(owner, C_j, weighting,
                       C_j * (balanced if weighting == "balanced"
@@ -640,6 +641,7 @@ def make_fold_plan(subject_ids, k_outer: int = 5, k_inner: int = 3,
 PCA_MODES = ("passthrough", 0.95, 0.99)
 RIDGE_LAMBDAS = (0.01, 0.1, 1.0, 10.0, 100.0)
 SVM_CS = (0.01, 0.1, 1.0, 10.0)
+CLASS_WEIGHTINGS = ("balanced", "none")
 
 
 @dataclass(frozen=True)
@@ -667,6 +669,9 @@ class PipelineConfig:
                                               and 0.0 < self.pca <= 1.0):
             raise ConfigError("pca must be 'passthrough' or a fraction in "
                               "(0, 1]")
+        if self.class_weighting not in CLASS_WEIGHTINGS:
+            raise ConfigError(f"class_weighting must be one of "
+                              f"{CLASS_WEIGHTINGS}, got {self.class_weighting!r}")
 
     def describe(self) -> str:
         if self.estimator == "ridge":
@@ -704,7 +709,7 @@ def default_grid(kind: str) -> list[PipelineConfig]:
     else:
         for pca in PCA_MODES:
             for c in SVM_CS:
-                for weighting in ("balanced", "none"):
+                for weighting in CLASS_WEIGHTINGS:
                     configs.append(PipelineConfig(estimator="linear_svm",
                                                   pca=pca, C=c,
                                                   class_weighting=weighting))

@@ -1,6 +1,7 @@
 """PCM WAV reading/writing.
 
-Reads 16/24-bit integer and 32-bit float WAV; multichannel input is
+Reads 16/24/32-bit integer and 32-bit float WAV (8-bit PCM, which
+scipy returns unsigned and offset, is refused); multichannel input is
 downmixed to mono by channel averaging. Samples are float64 in [-1, 1]
 nominal full scale. Output is written as 32-bit float.
 """
@@ -28,6 +29,9 @@ def read_wav(path) -> tuple[np.ndarray, int]:
     except ValueError as exc:
         raise InputError(f"cannot decode {path}: {exc}") from None
     raw_dtype = data.dtype
+    if raw_dtype not in _INT_SCALE and raw_dtype.kind != "f":
+        raise InputError(f"{path}: {8 * raw_dtype.itemsize}-bit PCM is not "
+                         f"supported (16/24/32-bit integer or float)")
     samples = data.astype(np.float64)
     if samples.ndim == 2:
         samples = samples.mean(axis=1)

@@ -599,6 +599,20 @@ def test_preprocess_malformed_config_is_config_error(corpus, tmp_path,
                          "--config", str(cfg)], capsys)
 
 
+def test_preprocess_out_of_range_values_are_config_errors(corpus, tmp_path,
+                                                         capsys):
+    manifest = one_row_manifest(
+        corpus, tmp_path / "m.csv",
+        corpus["root"] / "audio" /
+        (next(iter(corpus["truth"].values()))["session_id"] + ".wav"))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"gate_margin_db": NaN}')  # json reads NaN
+    for extra in (["--highpass-cutoff", "0"], ["--highpass-cutoff", "nan"],
+                  ["--loudness-target", "nan"], ["--config", str(cfg)]):
+        assert_config_error(["preprocess", "--manifest", str(manifest),
+                             "--outdir", str(tmp_path / "o"), *extra], capsys)
+
+
 def test_grid_search_malformed_grid_is_config_error(corpus, tmp_path, capsys):
     tuning, validation = subject_split(corpus)
     for text in (NOT_JSON, "[1, 2]"):

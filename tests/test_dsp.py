@@ -63,10 +63,9 @@ def test_highpass_section_count_and_stability():
 
 
 def test_highpass_rejects_nyquist_cutoff():
-    with pytest.raises(ConfigError):
-        design_highpass(6, 8000.0, FS)
-    with pytest.raises(ConfigError):
-        design_highpass(6, 9000.0, FS)
+    for cutoff in (8000.0, 9000.0, 0.0, -50.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError):
+            design_highpass(6, cutoff, FS)
 
 
 def test_apply_filter_kills_dc():
@@ -115,6 +114,9 @@ def test_gate_config_validation():
         GateConfig(frame_len=400, hop=401)
     with pytest.raises(ConfigError):
         GateConfig(frame_len=400, hop=160, alpha=1.5)
+    for margin in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):  # NaN would gate nothing
+            GateConfig(frame_len=400, hop=160, threshold_margin_db=margin)
     cfg = GateConfig.at_rate(FS)
     assert cfg.frame_len == 400 and cfg.hop == 160
 
@@ -344,6 +346,13 @@ def test_normalize_attenuation_no_clipping():
 def test_normalize_below_gate_rejected():
     with pytest.raises(ValidationError):
         normalize_loudness(Signal(np.zeros(FS), FS))
+
+
+def test_normalize_rejects_non_finite_target():
+    x = make_sine(997.0, 1.0, FS, peak=0.1)
+    for target in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):
+            normalize_loudness(x, target_lufs=target)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

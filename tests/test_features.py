@@ -352,6 +352,28 @@ def test_missing_stream_recorded_not_fabricated():
     assert set(allset.absent) >= set(EG_PROSODY_NAMES)
 
 
+def test_set_order_with_one_stream_missing():
+    x = Signal(session_like(), FS)
+    prosody, vqual, allset = extract_feature_sets(x, None)
+    assert (prosody.names, prosody.absent) == (EG_PROSODY_NAMES, ())
+    assert (vqual.names, vqual.absent) == ((), EG_VQUAL_NAMES)
+    assert (allset.names, allset.absent) == (EG_PROSODY_NAMES, EG_VQUAL_NAMES)
+    prosody, vqual, allset = extract_feature_sets(None, x)
+    assert (prosody.names, prosody.absent) == ((), EG_PROSODY_NAMES)
+    assert (vqual.names, vqual.absent) == (EG_VQUAL_NAMES, ())
+    assert (allset.names, allset.absent) == (EG_VQUAL_NAMES, EG_PROSODY_NAMES)
+    # silence: the contour functionals are absent, the stats that follow
+    # them in EG_PROSODY_NAMES are not
+    prosody, _, allset = extract_feature_sets(Signal(np.zeros(FS), FS), None)
+    unvoiced = ("egx.f0_semitone.mean", "egx.f0_semitone.cov",
+                "egx.rms_db.mean", "egx.rms_db.sd")
+    stats = ("egx.voiced.ratio", "egx.voiced_run.rate_per_s",
+             "egx.pause.count", "egx.pause.mean_s", "egx.pause.max_s",
+             "egx.pause.total_ratio")
+    assert (prosody.names, prosody.absent) == (stats, unvoiced)
+    assert (allset.names, allset.absent) == (stats, unvoiced + EG_VQUAL_NAMES)
+
+
 def test_extraction_deterministic():
     x = Signal(session_like(), FS)
     a1 = extract_feature_sets(x, x)[2]

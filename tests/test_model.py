@@ -901,9 +901,13 @@ def test_config_round_trip_and_describe():
                 dict(estimator="linear_svm", C=float("inf")),
                 dict(estimator="ridge", lam=1.0, pca=0.0),
                 dict(estimator="ridge", lam=1.0, pca=1.5),
-                dict(estimator="ridge", lam=1.0, pca=float("nan"))):
+                dict(estimator="ridge", lam=1.0, pca=float("nan")),
+                dict(estimator="ridge", lam=1.0, class_weighting="balance"),
+                dict(estimator="linear_svm", C=1.0, class_weighting="sqrt")):
         with pytest.raises(ConfigError):
             PipelineConfig(**bad)
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
     assert PipelineConfig(estimator="ridge", lam=0.0, pca=1.0).pca == 1.0
 
 
