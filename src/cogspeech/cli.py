@@ -3,20 +3,27 @@
 Subcommands cover the pipeline end to end: qc, preprocess, streams,
 features, embed-import, diar-metrics, grid-search, cv, holdout,
 importance, report. A JSON config file supplies defaults; explicit
-flags win. Every run drops a run-manifest (tool version, resolved
-arguments, SHA-256 of the file inputs) next to its outputs so any
-artifact can be reproduced bit for bit.
+flags win. --jobs, where a subcommand takes it, must be >= 1.
 
 Exit codes: 0 ok, 2 gate failures, 3 config error, 4 input error,
 5 adapter failure.
 
-The per-session stages (qc, preprocess, streams, features) finish every
-session they can: a session whose input cannot be read or processed is
-recorded in a failures.jsonl next to the outputs (session id, stage,
-message), the other sessions are written as usual, and the run exits
-with the input error code. A clean run writes no failures.jsonl.
+Every subcommand runs in one stage frame. Its JSON and JSON-lines
+outputs go through _write_json and _write_jsonl, and it ends in _finish,
+the one writer of the run manifest (tool version, command, resolved
+arguments, SHA-256 of the file inputs) next to the outputs, so any
+artifact can be reproduced bit for bit. diar-metrics without --out only
+prints its scores and writes no manifest.
 
-qc, cv and holdout print each label-hierarchy issue of the manifest
+The per-session stages (qc, preprocess, streams, features) map their
+sessions through _map_sessions, which finishes every session it can: a
+session whose input cannot be read or processed becomes a failure record
+(session id, stage, message), the other sessions are written as usual,
+and _finish writes the records to failures.jsonl and returns the input
+error code. A clean run writes no failures.jsonl.
+
+cv, holdout and importance read their labelled table through _dataset,
+which, like qc, prints each label-hierarchy issue of the manifest
 (corpus.validate_hierarchy) to stderr as a warning. cv writes the log of
 its executed fits, the record the leakage check reads, to fit_log.jsonl
 next to its report: one sorted-key JSON line per fit.
@@ -45,6 +52,10 @@ EXIT_CONFIG = 3
 EXIT_INPUT = 4
 EXIT_ADAPTER = 5
 
+_FEATURE_SETS = {"EG_PROSODY": features.EG_PROSODY_NAMES,
+                 "EG_VQUAL": features.EG_VQUAL_NAMES,
+                 "EG_ALL": features.EG_ALL_NAMES}
+
 
 class _UsageError(Exception):
     pass
@@ -57,6 +68,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
+def _jobs(text: str) -> int:
+    """The --jobs value: an int >= 1."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -65,22 +87,45 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _write_run_manifest(outdir, command: str, args: dict, inputs) -> None:
+def _create(path, newline=None):
+    """path opened for writing text, its directory made first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline=newline)
+
+
+def _write_json(path, payload) -> None:
+    with _create(path) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write_jsonl(path, records, sort_keys: bool = False) -> None:
+    with _create(path) as fh:
+        for record in records:
+            fh.write(json.dumps(record, sort_keys=sort_keys) + "\n")
+
+
+def _finish(args, outdir, inputs, failures=()) -> int:
+    """Write the run manifest of args.command, hashing the inputs that are
+    files, and any failure records (failures.jsonl) into outdir; EXIT_INPUT
+    when a session failed, else EXIT_OK."""
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    payload = {
+    _write_json(outdir / "run_manifest.json", {
         "tool": "cogspeech",
         "version": __version__,
-        "command": command,
-        "arguments": {k: v for k, v in sorted(args.items())
+        "command": args.command,
+        "arguments": {k: v for k, v in sorted(vars(args).items())
                       if isinstance(v, (str, int, float, bool, list,
                                         type(None)))},
-        "input_hashes": {str(p): _sha256(p) for p in sorted(map(str, inputs))
+        "input_hashes": {p: _sha256(p) for p in
+                         sorted(str(p) for p in inputs if p is not None)
                          if Path(p).is_file()},
-    }
-    with open(outdir / "run_manifest.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
+    if not failures:
+        return EXIT_OK
+    path = outdir / "failures.jsonl"
+    _write_jsonl(path, failures)
+    print(f"{len(failures)} session(s) failed; see {path}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def _read_json(path, what: str):
@@ -124,24 +169,25 @@ def _read_record_signal(base: Path, rec: corpus.SessionRecord) -> dsp.Signal:
     return sig
 
 
-def _map_sessions(fn, items, jobs: int, stage: str, session_id):
-    """pmap that keeps going past a failed session.
+def _map_sessions(args, fn, pairs):
+    """fn(session_id, item) over (session_id, item) pairs, on args.jobs
+    threads, going on past a failed session.
 
     A session whose input cannot be read or processed (an OSError or a
     package error other than ConfigError, which concerns every session)
-    becomes a failure record. Returns (results of the sessions that
-    succeeded, failure records), both in input order.
+    becomes a failure record of stage args.command. Returns (results of
+    the sessions that succeeded, failure records), both in input order.
     """
-    def guarded(item):
+    def guarded(pair):
         try:
-            return fn(item), None
+            return fn(*pair), None
         except ConfigError:
             raise
         except (CogspeechError, OSError) as exc:
-            return None, {"session_id": session_id(item), "stage": stage,
+            return None, {"session_id": pair[0], "stage": args.command,
                           "message": str(exc)}
 
-    outcomes = pmap(guarded, items, jobs)
+    outcomes = pmap(guarded, pairs, args.jobs)
     return ([r for r, failure in outcomes if failure is None],
             [failure for _, failure in outcomes if failure is not None])
 
@@ -154,19 +200,6 @@ def _warn_hierarchy(manifest: corpus.Manifest) -> None:
               file=sys.stderr)
 
 
-def _report_failures(outdir, failures) -> bool:
-    """Write failures.jsonl when any session failed; True if one did."""
-    if not failures:
-        return False
-    path = Path(outdir) / "failures.jsonl"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        for failure in failures:
-            fh.write(json.dumps(failure) + "\n")
-    print(f"{len(failures)} session(s) failed; see {path}", file=sys.stderr)
-    return True
-
-
 # ---------------------------------------------------------------------------
 # qc
 
@@ -177,20 +210,14 @@ def _cmd_qc(args) -> int:
     base = Path(args.manifest).parent
     thresholds = qc.QcThresholds()
 
-    def one(rec):
+    def one(_, rec):
         return rec, qc.qc_gate(_read_record_signal(base, rec), thresholds)
 
-    results, failures = _map_sessions(one, manifest.records, args.jobs, "qc",
-                                      lambda rec: rec.session_id)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    any_fail = False
-    with open(out, "w") as fh:
-        for rec, report in results:
-            line = {"session_id": rec.session_id, "subject_id": rec.subject_id}
-            line.update(report.to_dict())
-            fh.write(json.dumps(line) + "\n")
-            any_fail = any_fail or report.overall == "fail"
+    results, failures = _map_sessions(
+        args, one, [(rec.session_id, rec) for rec in manifest.records])
+    _write_jsonl(args.out, ({"session_id": rec.session_id,
+                             "subject_id": rec.subject_id, **report.to_dict()}
+                            for rec, report in results))
     if args.summary:
         with open(args.summary, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -204,22 +231,19 @@ def _cmd_qc(args) -> int:
                             f"{m.clip_ratio:.5f}", f"{m.snr_db:.2f}",
                             f"{m.activity_ratio:.3f}",
                             "; ".join(report.review_reasons)])
-    _write_run_manifest(out.parent, "qc", vars(args), [args.manifest])
-    if _report_failures(out.parent, failures):
-        return EXIT_INPUT
-    if any_fail:
+    code = _finish(args, Path(args.out).parent, [args.manifest], failures)
+    if code == EXIT_OK and any(r.overall == "fail" for _, r in results):
         print("gate failures present", file=sys.stderr)
         return EXIT_GATE_FAILURES
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------
 # preprocess
 
 
-def _preprocess_config(args) -> dsp.PreprocessConfig:
-    cfg = ({} if args.config in (None, "default")
-           else _read_json_object(args.config, "config"))
+def _preprocess_config(args, path) -> dsp.PreprocessConfig:
+    cfg = {} if path is None else _read_json_object(path, "config")
     allowed = {f for f in dsp.PreprocessConfig.__dataclass_fields__}
     unknown = set(cfg) - allowed
     if unknown:
@@ -238,27 +262,23 @@ def _preprocess_config(args) -> dsp.PreprocessConfig:
 def _cmd_preprocess(args) -> int:
     manifest = corpus.load_manifest(args.manifest)
     base = Path(args.manifest).parent
-    cfg = _preprocess_config(args)
+    config = None if args.config == "default" else args.config
+    cfg = _preprocess_config(args, config)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    def one(rec):
+    def one(session_id, rec):
         processed, audit = dsp.preprocess_chain(_read_record_signal(base, rec),
                                                 cfg)
-        wavio.write_wav(outdir / f"{rec.session_id}.wav",
+        wavio.write_wav(outdir / f"{session_id}.wav",
                         processed.samples, processed.sample_rate)
-        return rec.session_id, audit
+        return [{"session_id": session_id, **entry} for entry in audit]
 
-    results, failures = _map_sessions(one, manifest.records, args.jobs,
-                                      "preprocess", lambda rec: rec.session_id)
-    with open(outdir / "audit.jsonl", "w") as fh:
-        for session_id, audit in results:
-            for entry in audit:
-                fh.write(json.dumps({"session_id": session_id, **entry}) + "\n")
-    _write_run_manifest(outdir, "preprocess", vars(args),
-                        [args.manifest] + ([args.config] if args.config
-                                           and args.config != "default" else []))
-    return EXIT_INPUT if _report_failures(outdir, failures) else EXIT_OK
+    results, failures = _map_sessions(
+        args, one, [(rec.session_id, rec) for rec in manifest.records])
+    _write_jsonl(outdir / "audit.jsonl",
+                 (entry for entries in results for entry in entries))
+    return _finish(args, outdir, [args.manifest, config], failures)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +287,9 @@ def _cmd_preprocess(args) -> int:
 
 def _stream_one(session_id: str, wav_path, rttm_path, participant: str,
                 outdir: Path) -> list[dict]:
+    for kind, path in (("wav", wav_path), ("rttm", rttm_path)):
+        if not Path(path).exists():
+            raise InputError(f"missing {kind} {path}")
     sig = _read_signal(wav_path)
     tl = corpus.load_rttm(rttm_path)
     prosody = streams.build_prosody_preserved(sig, tl, participant)
@@ -289,42 +312,29 @@ def _stream_one(session_id: str, wav_path, rttm_path, participant: str,
 def _cmd_streams(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    jobs_inputs = []
-    hash_inputs = []
     if args.manifest:
         manifest = corpus.load_manifest(args.manifest)
         base = Path(args.manifest).parent
         wav_dir = Path(args.wav_dir) if args.wav_dir else None
         rttm_dir = Path(args.rttm_dir) if args.rttm_dir else base
-        for rec in manifest.records:
-            wav = (wav_dir / f"{rec.session_id}.wav" if wav_dir
-                   else Path(_resolve(base, rec.audio_path)))
-            jobs_inputs.append((rec.session_id, wav,
-                                rttm_dir / f"{rec.session_id}.rttm"))
-        hash_inputs.append(args.manifest)
+        pairs = [(rec.session_id,
+                  (wav_dir / f"{rec.session_id}.wav" if wav_dir
+                   else Path(_resolve(base, rec.audio_path)),
+                   rttm_dir / f"{rec.session_id}.rttm"))
+                 for rec in manifest.records]
+        inputs = [args.manifest]
+    elif args.wav and args.rttm:
+        pairs = [(args.session_id or Path(args.wav).stem,
+                  (Path(args.wav), Path(args.rttm)))]
+        inputs = [args.wav, args.rttm]
     else:
-        if not (args.wav and args.rttm):
-            raise ConfigError("need either --manifest or both --wav and --rttm")
-        session_id = args.session_id or Path(args.wav).stem
-        jobs_inputs.append((session_id, Path(args.wav), Path(args.rttm)))
-        hash_inputs += [args.wav, args.rttm]
-
-    def one(item):
-        sid, wav, rttm = item
-        if not Path(wav).exists():
-            raise InputError(f"missing wav {wav}")
-        if not Path(rttm).exists():
-            raise InputError(f"missing rttm {rttm}")
-        return _stream_one(sid, wav, rttm, args.participant, outdir)
-
-    results, failures = _map_sessions(one, jobs_inputs, args.jobs, "streams",
-                                      lambda item: item[0])
-    with open(outdir / "transitions.jsonl", "w") as fh:
-        for lines in results:
-            for line in lines:
-                fh.write(json.dumps(line) + "\n")
-    _write_run_manifest(outdir, "streams", vars(args), hash_inputs)
-    return EXIT_INPUT if _report_failures(outdir, failures) else EXIT_OK
+        raise ConfigError("need either --manifest or both --wav and --rttm")
+    results, failures = _map_sessions(
+        args, lambda session_id, paths: _stream_one(
+            session_id, *paths, args.participant, outdir), pairs)
+    _write_jsonl(outdir / "transitions.jsonl",
+                 (line for lines in results for line in lines))
+    return _finish(args, outdir, inputs, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -335,37 +345,32 @@ def _cmd_features(args) -> int:
     manifest = corpus.load_manifest(args.manifest)
     prosody_dir = Path(args.prosody_dir)
     concat_dir = Path(args.concat_dir)
-    set_names = {"EG_PROSODY": features.EG_PROSODY_NAMES,
-                 "EG_VQUAL": features.EG_VQUAL_NAMES,
-                 "EG_ALL": features.EG_ALL_NAMES}
-    if args.set not in set_names:
-        raise ConfigError(f"--set must be one of {sorted(set_names)}")
 
-    def one(rec):
-        p_path = prosody_dir / f"{rec.session_id}.prosody.wav"
-        c_path = concat_dir / f"{rec.session_id}.concat.wav"
+    def one(session_id, _):
+        p_path = prosody_dir / f"{session_id}.prosody.wav"
+        c_path = concat_dir / f"{session_id}.concat.wav"
         prosody = _read_signal(p_path) if p_path.exists() else None
         concat = _read_signal(c_path) if c_path.exists() else None
         if prosody is None and concat is None:
-            raise InputError(f"no streams found for {rec.session_id} under "
+            raise InputError(f"no streams found for {session_id} under "
                              f"{prosody_dir} / {concat_dir}")
         trio = features.extract_feature_sets(prosody, concat)
         by_tag = {v.set_tag: v for v in trio}
-        return rec.session_id, by_tag[args.set]
+        return session_id, by_tag[args.set]
 
-    results, failures = _map_sessions(one, manifest.records, args.jobs,
-                                      "features", lambda rec: rec.session_id)
+    results, failures = _map_sessions(
+        args, one, [(rec.session_id, rec) for rec in manifest.records])
     vectors = dict(results)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     if vectors:
-        features.write_feature_csv(out, vectors, names=list(set_names[args.set]))
+        features.write_feature_csv(out, vectors,
+                                   names=list(_FEATURE_SETS[args.set]))
     absent = {sid: list(vec.absent) for sid, vec in vectors.items() if vec.absent}
-    if absent:
-        with open(out.with_suffix(".absent.json"), "w") as fh:
-            json.dump(absent, fh, indent=2, sort_keys=True)
-    _write_run_manifest(out.parent, "features", vars(args), [args.manifest])
-    return EXIT_INPUT if _report_failures(out.parent, failures) else EXIT_OK
+    if absent:  # no trailing newline, as every release has written it
+        out.with_suffix(".absent.json").write_text(
+            json.dumps(absent, indent=2, sort_keys=True))
+    return _finish(args, out.parent, [args.manifest], failures)
 
 
 def _cmd_embed_import(args) -> int:
@@ -373,8 +378,7 @@ def _cmd_embed_import(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     features.write_feature_csv(out, vectors)
-    _write_run_manifest(out.parent, "embed-import", vars(args), [args.infile])
-    return EXIT_OK
+    return _finish(args, out.parent, [args.infile])
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +391,11 @@ def _cmd_diar_metrics(args) -> int:
     cfg = diar_eval.ScoringConfig(collar_s=args.collar,
                                   score_overlap=not args.no_overlap)
     scores = diar_eval.score_pair(ref, hyp, cfg)
-    text = json.dumps(scores, indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        _write_run_manifest(Path(args.out).parent, "diar-metrics", vars(args),
-                            [args.ref, args.hyp])
-    else:
-        print(text)
-    return EXIT_OK
+    if not args.out:
+        print(json.dumps(scores, indent=2, sort_keys=True))
+        return EXIT_OK
+    _write_json(args.out, scores)
+    return _finish(args, Path(args.out).parent, [args.ref, args.hyp])
 
 
 def _parse_subjects(raw: str) -> frozenset:
@@ -432,52 +431,54 @@ def _cmd_grid_search(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     diar_eval.write_grid_csv(results, out)
-    _write_run_manifest(out.parent, "grid-search", vars(args),
-                        [args.grid, args.manifest])
     failed = sum(1 for r in results if r.status == "failed")
     if failed:
         print(f"{failed} grid point(s) failed", file=sys.stderr)
-    return EXIT_OK
+    return _finish(args, out.parent, [args.grid, args.manifest])
 
 
 # ---------------------------------------------------------------------------
 # modeling commands
 
 
-def _target_from_args(args) -> model.TargetSpec:
-    return model.TargetSpec(level=args.level, name=args.target, kind=args.kind)
-
-
-def _build_dataset(manifest: corpus.Manifest, names, rows, target,
-                   split: str) -> model.Dataset:
-    kept, skipped = [], []
-    for rec in manifest.records:
-        if rec.split != split:
-            continue
-        feats = rows.get(rec.session_id)
-        if feats is None or any(n not in feats for n in names):
-            skipped.append(rec.session_id)
-            continue
-        y = model.extract_target(rec.labels, target)
-        if y is None:
-            skipped.append(rec.session_id)
-            continue
-        kept.append((rec.session_id, rec.subject_id,
-                     [feats[n] for n in names], y))
-    if skipped:
-        print(f"skipping {len(skipped)} session(s) without complete "
-              f"features/labels: {', '.join(sorted(skipped)[:5])}"
-              f"{'...' if len(skipped) > 5 else ''}", file=sys.stderr)
-    if not kept:
-        raise InputError(f"no usable sessions in split {split!r}")
-    kept.sort(key=lambda t: t[0])
-    return model.Dataset(
-        X=np.array([k[2] for k in kept]),
-        y=np.array([k[3] for k in kept]),
-        subject_ids=tuple(k[1] for k in kept),
-        session_ids=tuple(k[0] for k in kept),
-        feature_names=tuple(names),
-    )
+def _dataset(args, *splits):
+    """The target that --level/--target/--kind name, then one Dataset per
+    split: the --manifest sessions of that split with a complete row in
+    the --features table and a label for the target. The manifest's
+    label-hierarchy issues are printed once."""
+    target = model.TargetSpec(level=args.level, name=args.target, kind=args.kind)
+    manifest = corpus.load_manifest(args.manifest)
+    _warn_hierarchy(manifest)
+    names, rows = features.read_feature_csv(args.features)
+    datasets = []
+    for split in splits:
+        kept, skipped = [], []
+        for rec in manifest.records:
+            if rec.split != split:
+                continue
+            feats = rows.get(rec.session_id)
+            y = (None if feats is None or any(n not in feats for n in names)
+                 else model.extract_target(rec.labels, target))
+            if y is None:
+                skipped.append(rec.session_id)
+            else:
+                kept.append((rec.session_id, rec.subject_id,
+                             [feats[n] for n in names], y))
+        if skipped:
+            print(f"skipping {len(skipped)} session(s) without complete "
+                  f"features/labels: {', '.join(sorted(skipped)[:5])}"
+                  f"{'...' if len(skipped) > 5 else ''}", file=sys.stderr)
+        if not kept:
+            raise InputError(f"no usable sessions in split {split!r}")
+        kept.sort(key=lambda t: t[0])
+        datasets.append(model.Dataset(
+            X=np.array([k[2] for k in kept]),
+            y=np.array([k[3] for k in kept]),
+            subject_ids=tuple(k[1] for k in kept),
+            session_ids=tuple(k[0] for k in kept),
+            feature_names=tuple(names),
+        ))
+    return (target, *datasets)
 
 
 def _load_grid_file(path):
@@ -490,36 +491,24 @@ def _load_grid_file(path):
 
 
 def _cmd_cv(args) -> int:
-    target = _target_from_args(args)
-    manifest = corpus.load_manifest(args.manifest)
-    _warn_hierarchy(manifest)
-    names, rows = features.read_feature_csv(args.features)
-    data = _build_dataset(manifest, names, rows, target, args.split)
+    target, data = _dataset(args, args.split)
     grid = _load_grid_file(args.grid)
     report, fit_log = model.nested_cv(data, target, grid=grid,
                                       seed=args.seed, jobs=args.jobs)
     model.assert_no_leakage(fit_log)
-    payload = report.to_dict()
-    payload["feature_set_label"] = args.feature_set_label
-    payload["input_test_label"] = args.input_test_label
-    payload["n_sessions"] = len(data.y)
-    payload["n_subjects"] = len(data.subjects)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out.parent / "fit_log.jsonl", "w") as fh:
-        for record in fit_log:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
-    _write_run_manifest(out.parent, "cv", vars(args),
-                        [args.manifest, args.features]
-                        + ([args.grid] if args.grid else []))
+    _write_json(args.out, dict(
+        report.to_dict(), feature_set_label=args.feature_set_label,
+        input_test_label=args.input_test_label, n_sessions=len(data.y),
+        n_subjects=len(data.subjects)))
+    outdir = Path(args.out).parent
+    _write_jsonl(outdir / "fit_log.jsonl",
+                 (record.to_dict() for record in fit_log), sort_keys=True)
+    code = _finish(args, outdir, [args.manifest, args.features, args.grid])
     metric = "r" if target.kind == "regression" else "balanced_accuracy"
     s = report.summary[metric]
     print(f"{target.name} (level {target.level}): {metric} = "
           f"{s['mean']:.3f} +- {s['sd']:.3f} over {len(report.folds)} folds")
-    return EXIT_OK
+    return code
 
 
 def _read_voted_config(path) -> tuple[dict, model.PipelineConfig]:
@@ -531,36 +520,24 @@ def _read_voted_config(path) -> tuple[dict, model.PipelineConfig]:
 
 
 def _cmd_holdout(args) -> int:
-    target = _target_from_args(args)
-    manifest = corpus.load_manifest(args.manifest)
-    _warn_hierarchy(manifest)
-    names, rows = features.read_feature_csv(args.features)
-    dev = _build_dataset(manifest, names, rows, target, "development")
-    holdout = _build_dataset(manifest, names, rows, target, "holdout")
+    target, dev, holdout = _dataset(args, "development", "holdout")
     cv_payload, config = _read_voted_config(args.config_from)
     result, record = model.holdout_eval(dev, holdout, config, target)
     model.assert_no_leakage([record])
-    result["dev_summary"] = cv_payload.get("summary")
-    result["feature_set_label"] = cv_payload.get("feature_set_label")
-    result["input_test_label"] = cv_payload.get("input_test_label")
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _write_run_manifest(out.parent, "holdout", vars(args),
-                        [args.manifest, args.features, args.config_from])
+    result.update(dev_summary=cv_payload.get("summary"),
+                  feature_set_label=cv_payload.get("feature_set_label"),
+                  input_test_label=cv_payload.get("input_test_label"))
+    _write_json(args.out, result)
+    code = _finish(args, Path(args.out).parent,
+                   [args.manifest, args.features, args.config_from])
     print(json.dumps(result["metrics"], sort_keys=True))
-    return EXIT_OK
+    return code
 
 
 def _cmd_importance(args) -> int:
-    target = _target_from_args(args)
-    if target.kind != "classification":
+    if args.kind != "classification":
         raise ConfigError("importance ranking needs a classification target")
-    manifest = corpus.load_manifest(args.manifest)
-    names, rows = features.read_feature_csv(args.features)
-    data = _build_dataset(manifest, names, rows, target, args.split)
+    _, data = _dataset(args, args.split)
     if args.config_from:
         _, config = _read_voted_config(args.config_from)
     else:
@@ -568,16 +545,12 @@ def _cmd_importance(args) -> int:
                                       pca="passthrough")
     pipe = model.fit_pipeline(data.X, data.y, config)
     ranking = model.svm_feature_importance(pipe, data.feature_names)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
+    with _create(args.out, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rank", "feature", "weight"])
         for rank, (name, weight) in enumerate(ranking, 1):
             w.writerow([rank, name, repr(weight)])
-    _write_run_manifest(out.parent, "importance", vars(args),
-                        [args.manifest, args.features])
-    return EXIT_OK
+    return _finish(args, Path(args.out).parent, [args.manifest, args.features])
 
 
 def _cmd_report(args) -> int:
@@ -612,31 +585,28 @@ def _cmd_report(args) -> int:
         raise ConfigError(f"malformed cv report or holdout result: "
                           f"{type(exc).__name__} {exc}") from None
     outdir = Path(args.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
     header = ("Level-Target", "Input Test", "Feature", "Metric", "DEV Set",
               "HO Set")
     table = [(r["level_target"], r["input_test"], r["feature"], r["metric"],
               f"{r['dev_mean']:.3f} +- {r['dev_sd']:.3f}",
               "" if r["holdout"] is None else f"{r['holdout']:.3f}")
              for r in rows]
-    with open(outdir / "hierarchy_table.csv", "w", newline="") as fh:
+    with _create(outdir / "hierarchy_table.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(table)
-    with open(outdir / "per_level_lines.csv", "w", newline="") as fh:
+    with _create(outdir / "per_level_lines.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["input_test", "level", "target", "dev_mean", "holdout"])
         for r in sorted(rows, key=lambda r: (r["input_test"], r["level"])):
             w.writerow([r["input_test"], r["level"], r["target"],
                         f"{r['dev_mean']:.4f}",
                         "" if r["holdout"] is None else f"{r['holdout']:.4f}"])
-    _write_run_manifest(outdir, "report", vars(args),
-                        list(args.cv) + list(args.holdout or []))
+    code = _finish(args, outdir, [*args.cv, *(args.holdout or [])])
     widths = (16, 12, 10, 18, 22, 8)
     for cells in (header, *table):
         print("  ".join(str(c).ljust(w) for c, w in zip(cells, widths)))
-    return EXIT_OK
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -650,24 +620,36 @@ def build_parser() -> _Parser:
                         version=f"cogspeech {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("qc", help="quality-control gate over a manifest")
+    def command(name, fn, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
+        return p
+
+    def add_jobs(p):
+        p.add_argument("--jobs", type=_jobs, default=1)
+
+    def add_target_args(p):
+        p.add_argument("--level", type=int, required=True, choices=[1, 2, 3])
+        p.add_argument("--target", required=True)
+        p.add_argument("--kind", required=True,
+                       choices=["regression", "classification"])
+
+    p = command("qc", _cmd_qc, "quality-control gate over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True, help="per-session JSON-lines report")
     p.add_argument("--summary", help="optional summary CSV")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=_cmd_qc)
+    add_jobs(p)
 
-    p = sub.add_parser("preprocess", help="run the conditioning chain")
+    p = command("preprocess", _cmd_preprocess, "run the conditioning chain")
     p.add_argument("--manifest", required=True)
     p.add_argument("--outdir", required=True)
     p.add_argument("--config", help="JSON config file or 'default'")
     p.add_argument("--loudness-target", type=float, dest="loudness_target")
     p.add_argument("--gate-alpha", type=float, dest="gate_alpha")
     p.add_argument("--highpass-cutoff", type=float, dest="highpass_cutoff")
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=_cmd_preprocess)
+    add_jobs(p)
 
-    p = sub.add_parser("streams", help="build prosody/concatenated streams")
+    p = command("streams", _cmd_streams, "build prosody/concatenated streams")
     p.add_argument("--manifest")
     p.add_argument("--wav-dir", dest="wav_dir",
                    help="directory of <session>.wav (e.g. preprocess output)")
@@ -677,37 +659,32 @@ def build_parser() -> _Parser:
     p.add_argument("--session-id", dest="session_id")
     p.add_argument("--participant", default="PAR")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=_cmd_streams)
+    add_jobs(p)
 
-    p = sub.add_parser("features", help="extract hand-crafted feature sets")
+    p = command("features", _cmd_features, "extract hand-crafted feature sets")
     p.add_argument("--manifest", required=True)
     p.add_argument("--prosody-dir", dest="prosody_dir", required=True)
     p.add_argument("--concat-dir", dest="concat_dir", required=True)
-    p.add_argument("--set", default="EG_ALL",
-                   choices=["EG_PROSODY", "EG_VQUAL", "EG_ALL"])
+    p.add_argument("--set", default="EG_ALL", choices=list(_FEATURE_SETS))
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=_cmd_features)
+    add_jobs(p)
 
-    p = sub.add_parser("embed-import", help="ingest external embeddings")
+    p = command("embed-import", _cmd_embed_import, "ingest external embeddings")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_embed_import)
 
-    p = sub.add_parser("diar-metrics", help="score one hypothesis against "
-                                            "a reference")
+    p = command("diar-metrics", _cmd_diar_metrics,
+                "score one hypothesis against a reference")
     p.add_argument("--ref", required=True)
     p.add_argument("--hyp", required=True)
     p.add_argument("--collar", type=float, default=0.250)
     p.add_argument("--no-overlap", action="store_true",
                    help="exclude overlapped reference speech from scoring")
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_diar_metrics)
 
-    p = sub.add_parser("grid-search", help="preprocessing grid search against "
-                                           "an external diarizer")
+    p = command("grid-search", _cmd_grid_search,
+                "preprocessing grid search against an external diarizer")
     p.add_argument("--grid", required=True, help="JSON: name -> value list")
     p.add_argument("--manifest", required=True)
     p.add_argument("--rttm-dir", dest="rttm_dir", required=True)
@@ -719,16 +696,9 @@ def build_parser() -> _Parser:
     p.add_argument("--collar", type=float, default=0.250)
     p.add_argument("--workdir")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(fn=_cmd_grid_search)
+    add_jobs(p)
 
-    def add_target_args(p):
-        p.add_argument("--level", type=int, required=True, choices=[1, 2, 3])
-        p.add_argument("--target", required=True)
-        p.add_argument("--kind", required=True,
-                       choices=["regression", "classification"])
-
-    p = sub.add_parser("cv", help="nested cross-validation on one target")
+    p = command("cv", _cmd_cv, "nested cross-validation on one target")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
     add_target_args(p)
@@ -736,24 +706,22 @@ def build_parser() -> _Parser:
                    choices=list(corpus.SPLITS))
     p.add_argument("--grid", help="JSON list of pipeline configs")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    add_jobs(p)
     p.add_argument("--feature-set-label", dest="feature_set_label",
                    default="EG_ALL")
     p.add_argument("--input-test-label", dest="input_test_label", default="ALL")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_cv)
 
-    p = sub.add_parser("holdout", help="freeze the voted config and score "
-                                       "the holdout split")
+    p = command("holdout", _cmd_holdout,
+                "freeze the voted config and score the holdout split")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
     add_target_args(p)
     p.add_argument("--config-from", dest="config_from", required=True,
                    help="cv report JSON providing the majority-vote config")
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_holdout)
 
-    p = sub.add_parser("importance", help="SVM weight-based feature ranking")
+    p = command("importance", _cmd_importance, "SVM weight-based feature ranking")
     p.add_argument("--features", required=True)
     p.add_argument("--manifest", required=True)
     add_target_args(p)
@@ -762,14 +730,12 @@ def build_parser() -> _Parser:
     p.add_argument("--config-from", dest="config_from")
     p.add_argument("--C", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=_cmd_importance)
 
-    p = sub.add_parser("report", help="hierarchy table + per-level lines from "
-                                      "cv/holdout outputs")
+    p = command("report", _cmd_report,
+                "hierarchy table + per-level lines from cv/holdout outputs")
     p.add_argument("--cv", nargs="+", required=True)
     p.add_argument("--holdout", nargs="*")
     p.add_argument("--out-dir", dest="out_dir", required=True)
-    p.set_defaults(fn=_cmd_report)
 
     return parser
 

@@ -26,6 +26,7 @@ quantile needs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,21 @@ _BLOCK_STEP_S = 0.100
 _ABS_GATE_LUFS = -70.0
 _REL_GATE_LU = -10.0
 _LOUDNESS_OFFSET = -0.691
+
+# (test, wording) rules for _check; NaN fails every comparison
+_UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_FINITE = (math.isfinite, "finite")
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+_ORDER = (lambda v: v >= 1 and v % 1 == 0, "an integer >= 1")
+
+
+def _check(name: str, value, test, wording: str) -> None:
+    """ConfigError unless value is a real number, not a bool, that passes
+    test."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not test(value)):
+        raise ConfigError(f"{name} must be {wording}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -191,14 +207,9 @@ class GateConfig:
         if not (0 < self.hop <= self.frame_len):
             raise ConfigError(f"need 0 < hop <= frame_len, got hop={self.hop} "
                               f"frame_len={self.frame_len}")
-        if not (0.0 <= self.alpha <= 1.0):
-            raise ConfigError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not (0.0 < self.noise_quantile < 1.0):
-            raise ConfigError(f"noise_quantile must be in (0, 1), got "
-                              f"{self.noise_quantile}")
-        if not math.isfinite(self.threshold_margin_db):
-            raise ConfigError(f"threshold_margin_db must be finite, got "
-                              f"{self.threshold_margin_db}")
+        for name, rule in (("alpha", _UNIT), ("noise_quantile", _OPEN_UNIT),
+                           ("threshold_margin_db", _FINITE)):
+            _check(name, getattr(self, name), *rule)
         if self.window != "hann":
             raise ConfigError(f"unsupported window {self.window!r}")
 
@@ -452,6 +463,18 @@ class PreprocessConfig:
     gate_frame_s: float = 0.025
     gate_hop_s: float = 0.010
     loudness_target_lufs: float = -23.0
+
+    def __post_init__(self):
+        # every field, before any session runs; the Nyquist limit of the
+        # cutoff and the gate's frame and hop in samples depend on the
+        # recording's rate and are checked per session
+        for name, rule in (("highpass_order", _ORDER),
+                           ("highpass_cutoff_hz", _POSITIVE),
+                           ("gate_alpha", _UNIT), ("gate_noise_quantile", _OPEN_UNIT),
+                           ("gate_margin_db", _FINITE), ("gate_frame_s", _POSITIVE),
+                           ("gate_hop_s", _POSITIVE),
+                           ("loudness_target_lufs", _FINITE)):
+            _check(name, getattr(self, name), *rule)
 
 
 def preprocess_chain(x: Signal, cfg: PreprocessConfig | None = None

@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
 import csv
+import hashlib
 import json
 import shutil
 import subprocess
@@ -325,7 +326,7 @@ def test_embed_import_dimension_error(tmp_path):
                  "--out", str(tmp_path / "o.csv")]) == 4
 
 
-def test_diar_metrics_identity(corpus, tmp_path, capsys):
+def test_diar_metrics_identity(corpus, tmp_path, capsys, monkeypatch):
     sid = next(iter(corpus["truth"].values()))["session_id"]
     rttm = corpus["root"] / "rttm" / f"{sid}.rttm"
     out = tmp_path / "scores.json"
@@ -334,9 +335,12 @@ def test_diar_metrics_identity(corpus, tmp_path, capsys):
     scores = json.loads(out.read_text())
     assert scores["der"] == 0.0
     assert scores["jer"] == 0.0
-    # without --out the scores go to stdout
+    # without --out the scores go to stdout, and no file is written
+    written = sorted(tmp_path.rglob("*"))
+    monkeypatch.chdir(tmp_path)
     assert main(["diar-metrics", "--ref", str(rttm), "--hyp", str(rttm)]) == 0
     assert json.loads(capsys.readouterr().out)["der"] == 0.0
+    assert sorted(tmp_path.rglob("*")) == written
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +469,8 @@ def test_cv_fit_log_replays_across_jobs(corpus, feature_csv, tmp_path):
     assert [json.loads(l)["stage"] for l in lines[-5:]] == ["outer"] * 5
 
 
-def test_qc_warns_on_broken_label_hierarchy(corpus, tmp_path, capsys):
+def test_qc_warns_on_broken_label_hierarchy(corpus, feature_csv, cv_json,
+                                           tmp_path, capsys):
     assert main(["qc", "--manifest", str(corpus["manifest"]),
                  "--out", str(tmp_path / "clean" / "qc.jsonl")]) == 0
     assert "warning" not in capsys.readouterr().err
@@ -485,10 +490,20 @@ def test_qc_warns_on_broken_label_hierarchy(corpus, tmp_path, capsys):
     code = main(["qc", "--manifest", str(broken),
                  "--out", str(tmp_path / "qc.jsonl")])
     assert code == 0  # a warning, not a gate failure
+    warning = f"warning: {rows[0]['session_id']}: binary_threshold_mismatch"
     err = capsys.readouterr().err
-    assert (f"warning: {rows[0]['session_id']}: binary_threshold_mismatch"
-            in err)
-    assert err.count("warning") == 1
+    assert warning in err and err.count("warning") == 1
+    # the modeling commands read the same labels and warn once each,
+    # holdout too, although it builds two datasets
+    table = ["--features", str(feature_csv), "--manifest", str(broken),
+             "--level", "3"]
+    for argv in (["importance", *table, "--target", "mci",
+                  "--kind", "classification"],
+                 ["holdout", *table, "--target", "cerad_total",
+                  "--kind", "regression", "--config-from", str(cv_json)]):
+        assert main(argv + ["--out", str(tmp_path / argv[0] / "out")]) == 0
+        err = capsys.readouterr().err
+        assert warning in err and err.count("warning") == 1, argv[0]
 
 
 def test_holdout_uses_voted_config(corpus, feature_csv, cv_json, tmp_path):
@@ -550,11 +565,97 @@ def test_report_table(corpus, feature_csv, cv_json, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# run manifests
+
+COMMANDS = ("qc", "preprocess", "streams", "features", "embed-import",
+            "diar-metrics", "grid-search", "cv", "holdout", "importance",
+            "report")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_one_run_manifest_names_command_and_hashes_inputs(
+        command, corpus, preprocessed, stream_dir, feature_csv, cv_json,
+        tmp_path):
+    manifest, features = str(corpus["manifest"]), str(feature_csv)
+    rttm_dir = corpus["root"] / "rttm"
+    ref, hyp = (str(rttm_dir / f"{sid}.rttm") for sid in session_ids(corpus)[:2])
+    emb, grid = tmp_path / "emb.jsonl", tmp_path / "grid.json"
+    emb.write_text(json.dumps({"session_id": "s1", "dim": 1,
+                               "values": [1.0]}) + "\n")
+    grid.write_text(json.dumps({"gate_alpha": [0.3]}))
+    tuning, validation = subject_split(corpus)
+    target = ["--features", features, "--manifest", manifest, "--level", "3"]
+    out = tmp_path / "out"
+    # the audio stages and cv ran in the module fixtures
+    runs = {
+        "qc": (["--manifest", manifest, "--out", str(out / "qc.jsonl")],
+               [manifest]),
+        "preprocess": (preprocessed, [manifest]),
+        "streams": (stream_dir, [manifest]),
+        "features": (feature_csv.parent, [manifest]),
+        "embed-import": (["--in", str(emb), "--dim", "1",
+                          "--out", str(out / "emb.csv")], [str(emb)]),
+        "diar-metrics": (["--ref", ref, "--hyp", hyp,
+                          "--out", str(out / "scores.json")], [ref, hyp]),
+        "grid-search": (["--grid", str(grid), "--manifest", manifest,
+                         "--rttm-dir", str(rttm_dir),
+                         "--adapter", f"cp {rttm_dir}/{{session_id}}.rttm "
+                                      f"{{output}}",
+                         "--tuning-subjects", tuning,
+                         "--validation-subjects", validation,
+                         "--workdir", str(tmp_path / "work"),
+                         "--out", str(out / "grid.csv")],
+                        [str(grid), manifest]),
+        "cv": (cv_json.parent, [manifest, features]),
+        "holdout": ([*target, "--target", "cerad_total", "--kind",
+                     "regression", "--config-from", str(cv_json),
+                     "--out", str(out / "ho.json")],
+                    [manifest, features, str(cv_json)]),
+        "importance": ([*target, "--target", "mci", "--kind", "classification",
+                        "--out", str(out / "imp.csv")], [manifest, features]),
+        "report": (["--cv", str(cv_json), "--out-dir", str(out)],
+                   [str(cv_json)]),
+    }
+    argv, inputs = runs[command]
+    if isinstance(argv, list):
+        assert main([command, *argv]) == 0
+    outdir = out if isinstance(argv, list) else argv
+    [found] = outdir.rglob("run_manifest.json")
+    record = json.loads(found.read_text())
+    assert record["command"] == command
+    assert record["input_hashes"] == {
+        p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in inputs}
+
+
+# ---------------------------------------------------------------------------
 # exit-code scheme
 
 def test_bad_flag_and_subcommand_are_config_errors(tmp_path):
     assert main(["qc", "--manifest", "m.csv", "--out", "o", "--nope"]) == 3
     assert main(["frobnicate"]) == 3
+
+
+def test_jobs_below_one_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    required = {
+        "qc": ["--manifest", "m.csv", "--out", "o"],
+        "preprocess": ["--manifest", "m.csv", "--outdir", "o"],
+        "streams": ["--manifest", "m.csv", "--outdir", "o"],
+        "features": ["--manifest", "m.csv", "--prosody-dir", "p",
+                     "--concat-dir", "c", "--out", "o"],
+        "grid-search": ["--grid", "g.json", "--manifest", "m.csv",
+                        "--rttm-dir", "r", "--adapter", "false",
+                        "--tuning-subjects", "a", "--validation-subjects", "b",
+                        "--out", "o"],
+        "cv": ["--features", "f.csv", "--manifest", "m.csv", "--level", "1",
+               "--target", "MMSE", "--kind", "regression", "--out", "o"],
+    }
+    for command, argv in required.items():
+        for jobs in ("0", "-1"):
+            assert main([command, *argv, "--jobs", jobs]) == 3
+            err = capsys.readouterr().err
+            assert "argument --jobs: must be >= 1" in err, (command, err)
+    assert list(tmp_path.iterdir()) == []  # refused before anything ran
 
 
 def test_missing_manifest_is_input_error(tmp_path):
@@ -599,23 +700,37 @@ def test_preprocess_malformed_config_is_config_error(corpus, tmp_path,
                          "--config", str(cfg)], capsys)
 
 
+BAD_PREPROCESS_VALUES = [("gate_margin_db", float("nan")),
+                         ("highpass_order", 6.5), ("highpass_order", "6"),
+                         ("highpass_order", True), ("gate_alpha", 1.5),
+                         ("gate_frame_s", float("nan")),
+                         ("gate_hop_s", float("inf"))]
+
+
 def test_preprocess_out_of_range_values_are_config_errors(corpus, tmp_path,
                                                          capsys):
     manifest = one_row_manifest(
         corpus, tmp_path / "m.csv",
         corpus["root"] / "audio" /
         (next(iter(corpus["truth"].values()))["session_id"] + ".wav"))
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"gate_margin_db": NaN}')  # json reads NaN
-    for extra in (["--highpass-cutoff", "0"], ["--highpass-cutoff", "nan"],
-                  ["--loudness-target", "nan"], ["--config", str(cfg)]):
+    extras = [["--highpass-cutoff", "0"], ["--highpass-cutoff", "nan"],
+              ["--loudness-target", "nan"]]
+    for i, (key, value) in enumerate(BAD_PREPROCESS_VALUES):
+        cfg = tmp_path / f"cfg{i}.json"
+        cfg.write_text(json.dumps({key: value}))  # json writes and reads NaN
+        extras.append(["--config", str(cfg)])
+    for extra in extras:
         assert_config_error(["preprocess", "--manifest", str(manifest),
                              "--outdir", str(tmp_path / "o"), *extra], capsys)
+        assert not (tmp_path / "o").exists(), extra  # refused before any session
 
 
 def test_grid_search_malformed_grid_is_config_error(corpus, tmp_path, capsys):
     tuning, validation = subject_split(corpus)
-    for text in (NOT_JSON, "[1, 2]"):
+    points = [json.dumps({"gate_alpha": [0.3], key: [value]})
+              for key, value in BAD_PREPROCESS_VALUES
+              if key in ("highpass_order", "gate_alpha")]
+    for text in (NOT_JSON, "[1, 2]", *points):
         grid = tmp_path / "grid.json"
         grid.write_text(text)
         assert_config_error(
@@ -623,7 +738,11 @@ def test_grid_search_malformed_grid_is_config_error(corpus, tmp_path, capsys):
              "--manifest", str(corpus["manifest"]),
              "--rttm-dir", str(corpus["root"] / "rttm"), "--adapter", "false",
              "--tuning-subjects", tuning, "--validation-subjects", validation,
+             "--workdir", str(tmp_path / "work"),
              "--out", str(tmp_path / "grid.csv")], capsys)
+        # refused before any session is preprocessed
+        assert not list(tmp_path.rglob("*.wav")), text
+        assert not (tmp_path / "grid.csv").exists()
 
 
 @pytest.mark.parametrize("text", [NOT_JSON, '[{"lam": 1.0}]', '["ridge"]',
