@@ -219,7 +219,7 @@ def _cmd_qc(args) -> int:
                              "subject_id": rec.subject_id, **report.to_dict()}
                             for rec, report in results))
     if args.summary:
-        with open(args.summary, "w", newline="") as fh:
+        with _create(args.summary, newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["session_id", "overall", "duration_s", "rms_dbfs",
                         "clip_ratio", "snr_db", "activity_ratio",
@@ -550,7 +550,8 @@ def _cmd_importance(args) -> int:
         w.writerow(["rank", "feature", "weight"])
         for rank, (name, weight) in enumerate(ranking, 1):
             w.writerow([rank, name, repr(weight)])
-    return _finish(args, Path(args.out).parent, [args.manifest, args.features])
+    return _finish(args, Path(args.out).parent,
+                   [args.manifest, args.features, args.config_from])
 
 
 def _cmd_report(args) -> int:

@@ -4,16 +4,16 @@ subject-disjoint nested cross-validation protocol.
 Every fit is logged with the subject sets that fed it and the subject
 sets it was evaluated on, so leakage is something the test suite can
 prove about executed fits rather than trust from the fold plan. Each
-training set fits the scaler once and each PCA mode once, and sweeps each
-mode's ridge lambdas in one stacked solve. The SVM's (C, weighting)
-problems of a whole nested-CV stage, every training set and PCA mode of
-it, run in one Newton loop: one svm_fit batch call for the inner splits
-(per jobs chunk) and one for the outer refits.
+training set fits the scaler once and one SVD, which each PCA mode and
+every ridge lambda read. The SVM's (C, weighting) problems of a whole
+nested-CV stage, every training set and PCA mode of it, run in one
+Newton loop: one svm_fit batch call for the inner splits (per jobs
+chunk) and one for the outer refits.
 
-Estimators are deliberately small and closed over: ridge by its normal
-equations, the linear SVM by a primal-dual interior-point method on the
-dual, which reaches the optimum to a relative tolerance in about ten
-dense Newton steps. Inner-loop selection uses R^2 for regression
+Estimators are deliberately small and closed over: ridge by the SVD of
+its centred rows, the linear SVM by a primal-dual interior-point method
+on the dual, which reaches the optimum to a relative tolerance in about
+ten dense Newton steps. Inner-loop selection uses R^2 for regression
 and balanced accuracy for classification; Pearson r is always recorded
 as the headline regression metric.
 """
@@ -58,12 +58,11 @@ def zscore_fit(X) -> Scaler:
 
 
 def zscore_apply(scaler: Scaler, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    constant = list(scaler.constant_columns)
     safe_sd = scaler.sd.copy()
-    safe_sd[list(scaler.constant_columns)] = 1.0
-    out = (X - scaler.mean) / safe_sd
-    if scaler.constant_columns:
-        out[:, list(scaler.constant_columns)] = 0.0
+    safe_sd[constant] = 1.0
+    out = (np.asarray(X, dtype=np.float64) - scaler.mean) / safe_sd
+    out[:, constant] = 0.0
     return out
 
 
@@ -79,9 +78,30 @@ class PcaModel:
         return self.mode == "passthrough"
 
 
-def pca_fit(X, mode) -> PcaModel:
+def _svd(X, svd):
+    """svd checked against X, or the economy SVD of X's centred rows."""
+    if svd is None:
+        return np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+    u, s, vt = svd
+    n, d = X.shape
+    r = min(n, d)
+    if (u.shape, s.shape, vt.shape) != ((n, r), (r,), (r, d)):
+        raise ValidationError(f"SVD shapes {u.shape}, {s.shape}, {vt.shape} "
+                              f"do not match X {X.shape}")
+    return u, s, vt
+
+
+def _signs(vt):
+    """Per row of vt, the sign making its largest-|loading| entry > 0."""
+    pivots = vt[np.arange(len(vt)), np.argmax(np.abs(vt), axis=1)]
+    return np.where(pivots < 0, -1.0, 1.0)
+
+
+def pca_fit(X, mode, *, svd=None) -> PcaModel:
     """mode: "passthrough", or a cumulative explained-variance threshold.
-    Keeps the smallest k reaching the threshold, never fewer than one."""
+    Keeps the smallest k reaching the threshold, never fewer than one.
+    svd: the economy SVD of X's centred rows, if already taken (read only).
+    """
     if mode == "passthrough":
         return PcaModel(mode=mode)
     threshold = float(mode)
@@ -90,27 +110,19 @@ def pca_fit(X, mode) -> PcaModel:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 2:
         raise ValidationError(f"need >= 2 rows for PCA, got shape {X.shape}")
+    _, s, vt = _svd(X, svd)
     mean = X.mean(axis=0)
-    Xc = X - mean
-    _, s, vt = np.linalg.svd(Xc, full_matrices=False)
     var = s ** 2
     total = var.sum()
-    if total <= 0.0:
-        # degenerate: all rows identical; keep one arbitrary axis
-        comp = np.zeros((1, X.shape[1]))
-        comp[0, 0] = 1.0
-        return PcaModel(mode=threshold, mean=mean, components=comp,
+    if total <= 0.0:  # all rows identical: keep one arbitrary axis
+        return PcaModel(mode=threshold, mean=mean,
+                        components=np.eye(1, X.shape[1]),
                         explained_ratio=np.array([1.0]))
     ratio = var / total
     k = int(np.searchsorted(np.cumsum(ratio), threshold - 1e-12) + 1)
     k = max(1, min(k, len(s)))
-    comp = vt[:k]
-    # deterministic orientation: largest-|loading| entry positive
-    for row in comp:
-        pivot = int(np.argmax(np.abs(row)))
-        if row[pivot] < 0:
-            row *= -1.0
-    return PcaModel(mode=threshold, mean=mean, components=comp,
+    return PcaModel(mode=threshold, mean=mean,
+                    components=vt[:k] * _signs(vt[:k])[:, None],
                     explained_ratio=ratio[:k])
 
 
@@ -132,16 +144,16 @@ class RidgeModel:
     lam: float
 
 
-def ridge_fit(X, y, lam: float, *, path=()):
-    """min ||y - Xw - b||^2 + lam ||w||^2, intercept unpenalized; closed
-    form on centered data.
+def ridge_fit(X, y, lam: float, *, path=(), svd=None):
+    """min ||y - Xw - b||^2 + lam ||w||^2, intercept unpenalized: with
+    U diag(s) Vt the economy SVD of X's centred rows (svd, if already
+    taken), w = V diag(s / (s^2 + lam)) Ut (y - mean y). Singular values
+    under the least-squares cutoff count as zero, so lam = 0 gives the
+    minimum-norm fit.
 
-    path: more lambdas to fit on the same (X, y). With a non-empty path
-    the result is the list of models for lam and then each path entry, in
-    order: one centring and one Gram matrix serve every lambda, and their
-    normal equations are one stacked solve. Each model is bitwise the one
-    ridge_fit gives for its lambda alone. A lambda whose system is
-    singular (possible at lam = 0) falls back to least squares.
+    path: more lambdas, all read from the same SVD. With a non-empty path
+    the result is the list of models for lam and then each path entry;
+    each is bitwise the one ridge_fit gives for its lambda alone.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -155,23 +167,14 @@ def ridge_fit(X, y, lam: float, *, path=()):
             raise ConfigError(f"lam must be finite and >= 0, got {value}")
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValidationError("non-finite inputs")
+    u, s, vt = _svd(X, svd)
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
-    Xc = X - x_mean
-    yc = y - y_mean
-    d = X.shape[1]
-    xty = Xc.T @ yc
-    grams = Xc.T @ Xc + np.array(lams)[:, None, None] * np.eye(d)
-    try:  # one LAPACK gesv per lambda, as a lone solve(gram, xty) makes
-        W = np.linalg.solve(grams, np.broadcast_to(xty[:, None],
-                                                   (len(lams), d, 1)))[..., 0]
-    except np.linalg.LinAlgError:
-        W = np.empty((len(lams), d))
-        for i, gram in enumerate(grams):
-            try:
-                W[i] = np.linalg.solve(gram, xty)
-            except np.linalg.LinAlgError:
-                W[i] = np.linalg.lstsq(gram, xty, rcond=None)[0]
+    kept = s > np.finfo(np.float64).eps * max(X.shape) * s.max(initial=0.0)
+    gains = np.divide(s, s * s + np.array(lams)[:, None], where=kept,
+                      out=np.zeros((len(lams), len(s))))
+    # one row product per lambda, so a path entry is bitwise its solo fit
+    W = ((gains * (u.T @ (y - y_mean)))[:, None, :] @ vt)[:, 0]
     models = [RidgeModel(weights=w, intercept=y_mean - float(x_mean @ w),
                          lam=value) for w, value in zip(W, lams)]
     return models if len(models) > 1 else models[0]
@@ -468,11 +471,15 @@ def svm_predict(model: SvmModel, X) -> np.ndarray:
 # Metrics
 
 
-def pearson_r(y, yhat) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
+def _aligned(y, yhat, dtype=np.float64):
+    y, yhat = np.asarray(y, dtype=dtype), np.asarray(yhat, dtype=dtype)
     if y.shape != yhat.shape:
         raise ValidationError("length mismatch")
+    return y, yhat
+
+
+def pearson_r(y, yhat) -> float:
+    y, yhat = _aligned(y, yhat)
     yc = y - y.mean()
     pc = yhat - yhat.mean()
     denom = math.sqrt(float(yc @ yc) * float(pc @ pc))
@@ -482,10 +489,7 @@ def pearson_r(y, yhat) -> float:
 
 
 def r2(y, yhat) -> float:
-    y = np.asarray(y, dtype=np.float64)
-    yhat = np.asarray(yhat, dtype=np.float64)
-    if y.shape != yhat.shape:
-        raise ValidationError("length mismatch")
+    y, yhat = _aligned(y, yhat)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
         return float("nan")
@@ -494,10 +498,7 @@ def r2(y, yhat) -> float:
 
 
 def balanced_accuracy(y, yhat) -> float:
-    y = np.asarray(y)
-    yhat = np.asarray(yhat)
-    if y.shape != yhat.shape:
-        raise ValidationError("length mismatch")
+    y, yhat = _aligned(y, yhat, dtype=None)
     # per class (in sorted order): rows predicted as their own class over
     # rows of the class, the same division np.mean of a mask performs
     total = Counter(y.ravel().tolist())
@@ -534,19 +535,13 @@ def _ci_get(mapping: dict, name: str):
 def extract_target(labels: LabelHierarchy, spec: TargetSpec):
     """Target value for one session, or None when the label is absent.
     Classification targets come back as -1/+1 (positive = impaired)."""
-    if spec.level == 1:
-        value = _ci_get(labels.level1, spec.name)
-    elif spec.level == 2:
-        value = _ci_get(labels.level2, spec.name)
+    if spec.level < 3:
+        value = _ci_get(labels.level1 if spec.level == 1 else labels.level2,
+                        spec.name)
+    elif spec.name in ("cerad_total", "cerad_binary", "mci"):
+        value = getattr(labels, spec.name)
     else:
-        if spec.name == "cerad_total":
-            value = labels.cerad_total
-        elif spec.name == "cerad_binary":
-            value = labels.cerad_binary
-        elif spec.name == "mci":
-            value = labels.mci
-        else:
-            raise ConfigError(f"unknown level-3 target {spec.name!r}")
+        raise ConfigError(f"unknown level-3 target {spec.name!r}")
     if value is None:
         return None
     if spec.kind == "classification":
@@ -594,21 +589,15 @@ class FoldPlan:
 def _deal(subjects, k: int, rng, labels=None) -> list[list[str]]:
     """Round-robin deal, within-class when labels are given, so folds are
     balanced by subject count first and class ratio second."""
-    folds: list[list[str]] = [[] for _ in range(k)]
     order = sorted(subjects)
-    if labels is None:
-        rng.shuffle(order)
-        for pos, s in enumerate(order):
-            folds[pos % k].append(s)
-        return folds
-    pos = 0
-    for cls in sorted({labels[s] for s in order}, key=repr):
-        members = [s for s in order if labels[s] == cls]
+    classes = [order] if labels is None else [
+        [s for s in order if labels[s] == cls]
+        for cls in sorted({labels[s] for s in order}, key=repr)]
+    dealt = []
+    for members in classes:
         rng.shuffle(members)
-        for s in members:
-            folds[pos % k].append(s)
-            pos += 1
-    return folds
+        dealt += members
+    return [dealt[i::k] for i in range(k)]
 
 
 def make_fold_plan(subject_ids, k_outer: int = 5, k_inner: int = 3,
@@ -653,6 +642,8 @@ class PipelineConfig:
     class_weighting: str = "balanced"
 
     def __post_init__(self):
+        if isinstance(self.lam, bool) or isinstance(self.C, bool):
+            raise ConfigError("lam and C must be numbers, not booleans")
         if self.estimator == "ridge":
             if (self.lam is None or not 0.0 <= self.lam < math.inf
                     or self.C is not None):
@@ -691,7 +682,8 @@ def config_from_dict(d: dict) -> PipelineConfig:
     try:
         pca = d.get("pca", "passthrough")
         return PipelineConfig(estimator=d["estimator"],
-                              pca=pca if pca == "passthrough" else float(pca),
+                              pca=pca if pca == "passthrough"
+                              or isinstance(pca, bool) else float(pca),
                               lam=d.get("lam"), C=d.get("C"),
                               class_weighting=d.get("class_weighting", "balanced"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
@@ -738,11 +730,12 @@ class FittedPipeline:
 
 def _fitter(sets) -> list:
     """Fit each training set's configs, sets being (X, y, configs)
-    triples: per set the z-scaler once, each PCA mode once, and each
-    (PCA mode, ridge) group of configs in one ridge_fit path call; every
-    SVM group of every set goes into one svm_fit batch call. Per set, per
-    config in order: its FittedPipeline, or the ValidationError that
-    stopped its group."""
+    triples: per set the z-scaler once, one SVD of the scaled rows if a
+    PCA mode or ridge reads it, each PCA mode once, and each (PCA mode,
+    ridge) group of configs in one ridge_fit path call; every SVM group
+    of every set goes into one svm_fit batch call. Per set, per config in
+    order: its FittedPipeline, or the ValidationError that stopped its
+    group."""
     fitted = [[None] * len(configs) for _, _, configs in sets]
     svm_groups = []  # (results, configs, members, scaler, pca, Zp, y, pairs)
     for out, (X, y, configs) in zip(fitted, sets):
@@ -755,16 +748,23 @@ def _fitter(sets) -> list:
         groups = {}  # (PCA mode, estimator) -> positions in configs
         for i, config in enumerate(configs):
             groups.setdefault((config.pca, config.estimator), []).append(i)
+        passthrough_svm = set(groups) == {("passthrough", "linear_svm")}
+        svd = None if passthrough_svm else _svd(Z, None)
         reduced = {}  # PCA mode -> (PcaModel, projected Z)
         for (mode, estimator), members in groups.items():
             head, *rest = (configs[i] for i in members)
             try:
                 if mode not in reduced:
-                    pca = pca_fit(Z, mode)
+                    pca = pca_fit(Z, mode, svd=svd)
                     reduced[mode] = pca, pca_apply(pca, Z)
                 pca, Zp = reduced[mode]
                 if estimator == "ridge":
-                    models = ridge_fit(Zp, y, head.lam, path=[c.lam for c in rest])
+                    u, s, vt = svd
+                    if not pca.passthrough:  # Zp = U_k diag(s_k) D
+                        k = len(pca.components)
+                        u, s, vt = u[:, :k], s[:k], np.diag(_signs(vt[:k]))
+                    models = ridge_fit(Zp, y, head.lam, svd=(u, s, vt),
+                                       path=[c.lam for c in rest])
                 else:
                     _svm_set(Zp, y)  # a set svm_fit would refuse fails here
                     svm_groups.append((out, configs, members, scaler, pca,
@@ -871,10 +871,6 @@ def _eval_metrics(kind: str, y_true, y_pred) -> dict:
 
 def _inner_metric(kind: str, metrics: dict) -> float:
     return metrics["r2"] if kind == "regression" else metrics["balanced_accuracy"]
-
-
-def _simplicity_key(index: int, config: PipelineConfig):
-    return (0 if config.pca == "passthrough" else 1, index)
 
 
 def nested_cv(data: Dataset, target: TargetSpec, grid=None,
@@ -1002,10 +998,10 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
         vals = np.array([f.test_metrics[key] for f in folds])
         summary[key] = {"mean": float(np.mean(vals)), "sd": float(np.std(vals))}
 
+    # most votes; ties go to a passthrough config, then the lowest index
     votes = Counter(f.best_config_index for f in folds)
-    top_count = max(votes.values())
-    tied = [idx for idx, cnt in votes.items() if cnt == top_count]
-    winner = min(tied, key=lambda idx: _simplicity_key(idx, grid[idx]))
+    winner = min(votes, key=lambda i: (-votes[i],
+                                       grid[i].pca != "passthrough", i))
     report = CvReport(target=target, folds=tuple(folds), summary=summary,
                       majority_vote_index=winner,
                       majority_vote_config=grid[winner],

@@ -90,6 +90,17 @@ def test_qc_clean_corpus_passes(corpus, tmp_path):
     assert str(corpus["manifest"]) in manifest["input_hashes"]
 
 
+def test_qc_summary_into_missing_directory(corpus, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(["qc", "--manifest", str(corpus["manifest"]),
+                 "--out", "o/qc.jsonl", "--summary", "missing/s.csv"])
+    assert code == 0
+    assert len((tmp_path / "missing" / "s.csv").read_text().splitlines()) == \
+        session_count(corpus) + 1
+    assert json.loads((tmp_path / "o" / "run_manifest.json").read_text())[
+        "command"] == "qc"
+
+
 def one_row_manifest(corpus, dest: Path, audio_path: Path) -> Path:
     text = corpus["manifest"].read_text().splitlines()
     header_at = 1 if text[0].startswith("#") else 0
@@ -536,6 +547,23 @@ def test_importance_ranking_csv(corpus, feature_csv, tmp_path):
     assert {r["feature"] for r in rows} <= set(EG_ALL_NAMES)
 
 
+def test_importance_hashes_its_config_from_report(corpus, feature_csv,
+                                                 tmp_path):
+    report = tmp_path / "cv.json"
+    report.write_text(json.dumps({"majority_vote_config_params": {
+        "estimator": "linear_svm", "C": 1.0, "pca": "passthrough"}}))
+    code = main(["importance", "--features", str(feature_csv),
+                 "--manifest", str(corpus["manifest"]),
+                 "--level", "3", "--target", "mci", "--kind", "classification",
+                 "--config-from", str(report),
+                 "--out", str(tmp_path / "o" / "imp.csv")])
+    assert code == 0
+    record = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+    assert record["input_hashes"][str(report)] == \
+        hashlib.sha256(report.read_bytes()).hexdigest()
+    assert len(record["input_hashes"]) == 3
+
+
 def test_importance_needs_classification(corpus, feature_csv, tmp_path):
     code = main(["importance", "--features", str(feature_csv),
                  "--manifest", str(corpus["manifest"]),
@@ -752,7 +780,10 @@ def test_grid_search_malformed_grid_is_config_error(corpus, tmp_path, capsys):
                                   '[{"estimator": "ridge", "lam": NaN}]',
                                   '[{"estimator": "ridge", "lam": Infinity}]',
                                   '[{"estimator": "ridge", "lam": 1.0, '
-                                  '"pca": 1.5}]'])
+                                  '"pca": 1.5}]',
+                                  '[{"estimator": "ridge", "lam": true}]',
+                                  '[{"estimator": "ridge", "lam": 1.0, '
+                                  '"pca": true}]'])
 def test_cv_malformed_grid_is_config_error(corpus, feature_csv, tmp_path,
                                            capsys, text):
     grid = tmp_path / "grid.json"

@@ -231,6 +231,85 @@ def test_ridge_singular_lambda_falls_back_to_least_squares():
     assert shrunk.weights[1] == 0.0 and 0.0 < shrunk.weights[0] < 3.0
 
 
+def centred_svd(X):
+    return np.linalg.svd(X - X.mean(axis=0), full_matrices=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(2, 40), st.integers(1, 12), st.booleans(),
+       st.lists(st.sampled_from([0.0, 0.01, 0.1, 1.0, 10.0, 100.0]),
+                min_size=1, max_size=6), st.booleans(), st.integers(0, 2 ** 16))
+def test_ridge_matches_normal_equations(n, d, zero_column, lams, shared, seed):
+    # n < d and n > d, solo and path, own or caller's SVD; lam = 0 only
+    # where the oracle's system is full rank
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, d)
+    if zero_column:
+        X[:, 0] = 0.0
+    y = rng.standard_normal(n)
+    if zero_column or n < 2 * (d + 1):
+        lams = [lam for lam in lams if lam > 0.0]
+    assume(lams)
+    models = ridge_fit(X, y, lams[0], path=lams[1:],
+                       svd=centred_svd(X) if shared else None)
+    for model in models if len(lams) > 1 else [models]:
+        w, b = oracles.ridge_normal_equations(X, y, model.lam)
+        scale = 1.0 + np.abs(w).max() + abs(b)
+        assert np.abs(model.weights - w).max() <= 1e-9 * scale
+        assert abs(model.intercept - b) <= 1e-9 * scale
+
+
+def test_ridge_rejects_an_svd_of_another_shape():
+    X = np.random.default_rng(12).standard_normal((10, 4))
+    y = np.arange(10.0)
+    u, s, vt = centred_svd(X)
+    for bad in ((u[:, :3], s, vt), (u, s[:3], vt), (u, s, vt[:, :3]),
+                centred_svd(X[:9]), centred_svd(X[:, :3])):
+        with pytest.raises(ValidationError):
+            ridge_fit(X, y, 1.0, svd=bad)
+        with pytest.raises(ValidationError):
+            pca_fit(X, 0.9, svd=bad)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.integers(0, 30),
+       st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99, 1.0]),
+       st.integers(0, 2 ** 16))
+def test_pca_from_a_shared_svd_matches_eigendecomposition(d, extra, threshold,
+                                                          seed):
+    # well-separated variances, so the oracle's eigenvectors are well posed
+    rng = np.random.default_rng(seed)
+    scales = 2.0 ** -np.arange(d) * rng.uniform(0.9, 1.1, d)
+    X = rng.standard_normal((d + 2 + extra, d)) * scales + rng.normal(0, 5, d)
+    k, projected = oracles.pca_eigendecomposition(X, threshold)
+    ratio = np.cumsum(scales ** 2) / np.sum(scales ** 2)
+    assume(np.all(np.abs(ratio - threshold) > 0.02) or threshold == 1.0)
+    svd = centred_svd(X)
+    before = [a.copy() for a in svd]
+    model = pca_fit(X, threshold, svd=svd)
+    assert all(np.array_equal(a, b) for a, b in zip(svd, before))
+    own = pca_fit(X, threshold)
+    assert model.components.tobytes() == own.components.tobytes()
+    assert model.components.shape[0] == k
+    got = pca_apply(model, X)
+    assert np.allclose(got, oracles.match_signs(got, projected),
+                       rtol=0.0, atol=1e-8 * np.abs(projected).max())
+
+
+@pytest.mark.parametrize("lam", [0.0, 0.01, 1.0, 100.0])
+@pytest.mark.parametrize("pca", ["passthrough", 0.5, 0.95, 1.0])
+def test_pipeline_ridge_from_the_shared_svd_matches_normal_equations(pca, lam):
+    # under a PCA mode ridge reads the leading block of the training set's
+    # SVD, not a factorization of the projected rows
+    data = synth.planted_regression(60, n_features=8, seed=13)
+    pipe = fit_pipeline(data.X, data.y, PipelineConfig(estimator="ridge",
+                                                       pca=pca, lam=lam))
+    w, b = oracles.ridge_normal_equations(pipe.transform(data.X), data.y, lam)
+    scale = 1.0 + np.abs(w).max() + abs(b)
+    assert np.abs(pipe.model.weights - w).max() <= 1e-9 * scale
+    assert abs(pipe.model.intercept - b) <= 1e-9 * scale
+
+
 # ---------------------------------------------------------------------------
 # SVM
 
@@ -848,6 +927,26 @@ def test_nested_cv_fits_scaler_and_pca_once_per_training_set():
     assert pca.call_count == 15 * len(model_mod.PCA_MODES) + 5
 
 
+def test_nested_cv_takes_one_svd_per_training_set():
+    # both PCA modes and every ridge lambda read one SVD per training set;
+    # a passthrough SVM grid reads none
+    regression = synth.planted_regression(40, seed=5)
+    classification = synth.planted_classification(40, seed=5)
+    for data, target, grid, svds in (
+            (regression, TargetSpec(3, "cerad_total", "regression"), None,
+             15 + 5),
+            (classification, TargetSpec(3, "mci", "classification"), None,
+             None),
+            (classification, TargetSpec(3, "mci", "classification"),
+             [PipelineConfig(estimator="linear_svm", C=c) for c in SVM_CS], 0)):
+        with mock.patch.object(np.linalg, "svd", wraps=np.linalg.svd) as svd:
+            report, _ = nested_cv(data, target, grid=grid, seed=3)
+        if svds is None:  # outer refits of a passthrough config take none
+            svds = 15 + sum(f.best_config.pca != "passthrough"
+                            for f in report.folds)
+        assert svd.call_count == svds
+
+
 def test_nested_cv_fits_through_the_public_estimators():
     # the benchmark times svm_fit, ridge_fit and pca_fit by swapping the
     # module's bindings, so nested_cv must call each of them by name: pca_fit
@@ -909,6 +1008,18 @@ def test_config_round_trip_and_describe():
         with pytest.raises(ConfigError):
             config_from_dict(bad)
     assert PipelineConfig(estimator="ridge", lam=0.0, pca=1.0).pca == 1.0
+
+
+def test_config_rejects_boolean_hyperparameters():
+    # JSON true would otherwise run as lam = 1 or pca = 1.0
+    for bad in (dict(estimator="ridge", lam=True),
+                dict(estimator="ridge", lam=False),
+                dict(estimator="linear_svm", C=True),
+                dict(estimator="ridge", lam=1.0, pca=True)):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**bad)
+        with pytest.raises(ConfigError):
+            config_from_dict(bad)
 
 
 # ---------------------------------------------------------------------------
