@@ -4,14 +4,23 @@ The manifest is a CSV with one row per recording session. Optional comment
 lines of the form ``# key=value`` may precede the header; the recognized key
 ``domain_range`` declares the valid range of the domain composite scores
 (e.g. ``# domain_range=0,1``). Absent scores are empty cells, never zeros.
+
+A Timeline holds its segments as columns: onsets, durations and speaker
+codes, sorted by (onset, end, speaker). RTTM text is split once and its
+time columns converted in bulk; the sort and the same-speaker overlap
+check are array operations. RTTM files and manifests are read as UTF-8.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -58,45 +67,84 @@ class Segment:
         return self.onset + self.duration
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Timeline:
-    """Ordered segments for one recording.
+    """Segments of one recording, held as columns sorted by (onset, end,
+    speaker).
 
-    Sorted by onset; segments of the same speaker must not overlap
-    (cross-speaker overlap is allowed).
+    ``onsets`` and ``durations`` are read-only float64 columns; ``codes``
+    gives each row's speaker as an index into ``labels``, the distinct
+    speaker labels in sorted order. Segments of the same speaker must not
+    overlap (cross-speaker overlap is allowed). Segment objects are built
+    only when the timeline is iterated.
     """
 
-    segments: tuple[Segment, ...]
+    onsets: np.ndarray
+    durations: np.ndarray
+    codes: np.ndarray
+    labels: tuple[str, ...]
 
     @classmethod
     def from_segments(cls, segments) -> "Timeline":
-        segs = tuple(sorted(segments, key=lambda s: (s.onset, s.end, s.speaker)))
-        last_end: dict[str, float] = {}
-        for seg in segs:
-            prev = last_end.get(seg.speaker)
-            if prev is not None and seg.onset < prev - TIME_EPS_S:
-                raise ValidationError(
-                    f"same-speaker overlap for {seg.speaker!r}: "
-                    f"segment at {seg.onset:.3f}s starts before {prev:.3f}s"
-                )
-            last_end[seg.speaker] = max(prev or 0.0, seg.end)
-        return cls(segs)
+        segs = list(segments)
+        onsets = np.array([s.onset for s in segs], dtype=np.float64)
+        durations = np.array([s.duration for s in segs], dtype=np.float64)
+        return cls._from_columns(onsets, durations, [s.speaker for s in segs])
+
+    @classmethod
+    def _from_columns(cls, onsets, durations, speakers) -> "Timeline":
+        """The timeline of these rows, sorted by (onset, end, speaker);
+        same-speaker overlap is rejected at the first offending row in
+        that order."""
+        labels = tuple(sorted(set(speakers)))
+        index = {label: k for k, label in enumerate(labels)}
+        codes = np.fromiter(map(index.__getitem__, speakers), np.intp, len(speakers))
+        ends = onsets + durations
+        order = np.lexsort((codes, ends, onsets))
+        onsets, durations, codes, ends = (a[order] for a in (onsets, durations,
+                                                             codes, ends))
+        # each row against the latest end of its speaker's earlier rows
+        by = np.argsort(codes, kind="stable")
+        spk, start = codes[by], onsets[by]
+        latest = running_max(spk, ends[by])[:-1]
+        bad = np.flatnonzero((spk[1:] == spk[:-1]) & (start[1:] < latest - TIME_EPS_S))
+        if bad.size:
+            k = bad[np.argmin(by[bad + 1])]  # the first offending row in time order
+            raise ValidationError(
+                f"same-speaker overlap for {labels[spk[k + 1]]!r}: "
+                f"segment at {start[k + 1]:.3f}s starts before {latest[k]:.3f}s")
+        for a in (onsets, durations, codes):
+            a.flags.writeable = False
+        return cls(onsets, durations, codes, labels)
 
     def speakers(self) -> tuple[str, ...]:
-        seen = []
-        for seg in self.segments:
-            if seg.speaker not in seen:
-                seen.append(seg.speaker)
-        return tuple(seen)
+        """Labels in order of first appearance."""
+        return tuple(dict.fromkeys(map(self.labels.__getitem__, self.codes.tolist())))
 
     def for_speaker(self, speaker: str) -> tuple[Segment, ...]:
-        return tuple(s for s in self.segments if s.speaker == speaker)
+        return tuple(s for s in self if s.speaker == speaker)
 
     def __len__(self) -> int:
-        return len(self.segments)
+        return len(self.onsets)
 
     def __iter__(self):
-        return iter(self.segments)
+        return map(Segment, map(self.labels.__getitem__, self.codes.tolist()),
+                   self.onsets.tolist(), self.durations.tolist())
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is self.__class__ and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
+def running_max(groups: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Running maximum of values, restarted wherever groups (non-negative,
+    non-decreasing integers) changes. Exact: it runs on the ranks of the
+    values, offset per group."""
+    distinct, rank = np.unique(values, return_inverse=True)
+    shift = groups * len(distinct)
+    return distinct[np.maximum.accumulate(shift + rank) - shift]
 
 
 @dataclass(frozen=True)
@@ -171,14 +219,45 @@ def parse_rttm(text: str) -> Timeline:
 
     Field 4 is the onset, field 5 the duration, field 8 the speaker label
     (1-indexed). Times are kept at millisecond precision. Comment lines
-    (starting with ';') and blank lines are skipped.
+    (starting with ';') and blank lines are skipped. The lines are split
+    once and their time columns converted in bulk; only text with a bad
+    line is read again line by line, to name the first one.
     """
+    rows = [f for f in map(str.split, text.splitlines()) if f and f[0][0] != ";"]
+    try:  # IndexError: a row of fewer than 9 fields; ValueError: no rows, bad time
+        kinds, onsets, durations, speakers, _ = zip(
+            *map(itemgetter(0, 3, 4, 7, 8), rows))
+        onsets, durations = _round_ms(onsets), _round_ms(durations)
+    except (IndexError, ValueError):
+        return _parse_lines(text)
+    if kinds.count("SPEAKER") < len(kinds) or not np.all(
+            np.isfinite(onsets) & np.isfinite(durations) & (onsets >= 0) & (durations > 0)):
+        return _parse_lines(text)
+    return Timeline._from_columns(onsets, durations, speakers)
+
+
+def _round_ms(fields) -> np.ndarray:
+    """round(float(f), 3) for each field, bitwise. rint(x * 1000) / 1000
+    is round()'s result unless the rounded product lands exactly on a half
+    (the exact one may lie on either side of it) or x * 1000 passes 2**51;
+    those few go through round() itself."""
+    x = np.fromiter(map(float, fields), np.float64, len(fields))
+    small = np.abs(x) < 2.0 ** 41  # so x * 1000 < 2**51
+    y = np.where(small, x, 0.0) * 1000.0
+    out = np.rint(y) / 1000.0
+    odd = ~small | (y - np.floor(y) == 0.5)
+    if odd.any():
+        out[odd] = [round(v, 3) for v in x[odd].tolist()]
+    return out
+
+
+def _parse_lines(text: str) -> Timeline:
+    """parse_rttm one line at a time: raises for the first bad line."""
     segments = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
+        fields = raw.split()
+        if not fields or fields[0][0] == ";":
             continue
-        fields = line.split()
         if len(fields) < 9:
             raise ParseError(f"expected >= 9 fields, got {len(fields)}", lineno)
         if fields[0] != "SPEAKER":
@@ -208,7 +287,18 @@ def serialize_rttm(timeline: Timeline, recording_id: str = "rec",
 
 
 def load_rttm(path) -> Timeline:
-    return parse_rttm(Path(path).read_text())
+    return parse_rttm(_read_text(path))
+
+
+def _read_text(path) -> str:
+    """The file as UTF-8 text; ParseError at the line of the first byte
+    that does not decode."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}",
+                         data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def _parse_float(value: str, column: str, lineno: int) -> float | None:
@@ -243,7 +333,7 @@ def load_manifest(path) -> Manifest:
     """
     path = Path(path)
     domain_range = None
-    with path.open(newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         header_meta = []
         pos = fh.tell()
         line = fh.readline()

@@ -2,11 +2,14 @@
 
 Metrics: DER with a collar excluded around reference boundaries (md-eval
 convention), JER, cluster purity and coverage. Every metric reads one
-exact interval sweep, not frame sampling: the speaker boundaries of both
-timelines and the collar-zone boundaries are sorted once, and each
-elementary span between them carries its duration and which ref
-speakers, hyp speakers and collar zones are active. Speaker totals and (ref, hyp) overlaps are sums of the
-same span durations, so identical timelines score exactly 0 and 1.
+exact interval sweep, not frame sampling: the segments of each ref and
+hyp speaker and the collar zones around the ref boundaries are merged
+into disjoint intervals in one vectorized pass over the timelines'
+columns (a lexsort by group and start, then a running max of the ends),
+and each elementary span between the merged boundaries carries its
+duration and which ref speakers, hyp speakers and collar zones are
+active. Speaker totals and (ref, hyp) overlaps are sums of the same span
+durations, so identical timelines score exactly 0 and 1.
 
 The speaker mapping is the overlap-maximizing one-to-one partial
 assignment. Among equally good assignments (within a 1e-9 s tie margin)
@@ -34,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Timeline, load_rttm
-from .dsp import PreprocessConfig, Signal, preprocess_chain
+from .corpus import Timeline, load_rttm, running_max
+from .dsp import _NON_NEGATIVE, PreprocessConfig, Signal, _check, preprocess_chain
 from .errors import AdapterError, ConfigError, ValidationError
 from .parallel import pmap
 from . import wavio
@@ -49,8 +52,7 @@ class ScoringConfig:
     score_overlap: bool = True
 
     def __post_init__(self):
-        if self.collar_s < 0:
-            raise ConfigError("collar_s must be >= 0")
+        _check("collar_s", self.collar_s, *_NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
@@ -66,41 +68,29 @@ class DerBreakdown:
         return self.scored_total_s > 0.0
 
 
-def _merge(intervals) -> list:
-    merged = []
-    for s, e in sorted(intervals):
-        if merged and s <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
-        else:
-            merged.append((s, e))
-    return merged
+def _union(groups: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple:
+    """Union of the [start, end] intervals of each group, as (group, start,
+    end) columns sorted by group then start: one lexsort, then a running
+    max of the ends. Touching intervals join."""
+    order = np.lexsort((starts, groups))
+    groups, starts, ends = groups[order], starts[order], ends[order]
+    reach = running_max(groups, ends)
+    first = np.ones(groups.size, dtype=bool)
+    first[1:] = (groups[1:] != groups[:-1]) | (starts[1:] > reach[:-1])
+    # a merged interval ends at the reach of its last row
+    return groups[first], starts[first], reach[np.roll(first, -1)]
 
 
-def _speaker_intervals(tl: Timeline) -> dict:
-    """Merged (start, end) lists per speaker."""
-    by_speaker = {}
-    for seg in tl:
-        by_speaker.setdefault(seg.speaker, []).append((seg.onset, seg.end))
-    return {spk: _merge(ivs) for spk, ivs in by_speaker.items()}
-
-
-def _collar_zones(ref: Timeline, collar_s: float) -> list:
-    if collar_s <= 0:
-        return []
-    return _merge((b - collar_s, b + collar_s)
-                  for seg in ref for b in (seg.onset, seg.end))
-
-
-def _activity(mid: np.ndarray, interval_lists) -> np.ndarray:
-    """(list, span) mask: span midpoint inside [start, end) of a merged
-    interval of that list."""
-    out = np.zeros((len(interval_lists), mid.size), dtype=bool)
-    for k, ivs in enumerate(interval_lists):
-        if ivs:
-            starts, ends = np.array(ivs, dtype=np.float64).T
-            i = np.searchsorted(starts, mid, side="right") - 1
-            out[k] = (i >= 0) & (mid < ends[np.maximum(i, 0)])
-    return out
+def _activity(mid: np.ndarray, groups, starts, ends, n_groups: int) -> np.ndarray:
+    """(group, span) mask: span midpoint inside [start, end) of one of the
+    group's disjoint intervals. The midpoints are sorted, so each interval
+    covers one run of spans: +1 where it starts, -1 where it ends, summed."""
+    width = mid.size + 1
+    marks = (np.bincount(groups * width + np.searchsorted(mid, starts),
+                         minlength=n_groups * width)
+             - np.bincount(groups * width + np.searchsorted(mid, ends),
+                           minlength=n_groups * width))
+    return np.cumsum(marks.reshape(n_groups, width), axis=1)[:, :-1] > 0
 
 
 class _Sweep:
@@ -114,19 +104,24 @@ class _Sweep:
     """
 
     def __init__(self, ref: Timeline, hyp: Timeline, collar_s: float = 0.0):
-        ref_iv = _speaker_intervals(ref)
-        hyp_iv = _speaker_intervals(hyp)
-        zones = _collar_zones(ref, collar_s)
-        lists = [*ref_iv.values(), *hyp_iv.values(), zones]
-        edges = np.unique(np.array([t for ivs in lists for iv in ivs for t in iv],
-                                   dtype=np.float64))
+        # one group per ref speaker, per hyp speaker, and for the collar zones
+        n_ref, n_hyp = len(ref.labels), len(hyp.labels)
+        ref_ends = ref.onsets + ref.durations
+        columns = [(ref.codes, ref.onsets, ref_ends),
+                   (hyp.codes + n_ref, hyp.onsets, hyp.onsets + hyp.durations)]
+        if collar_s > 0:
+            bounds = np.concatenate([ref.onsets, ref_ends])
+            columns.append((np.full(bounds.size, n_ref + n_hyp),
+                            bounds - collar_s, bounds + collar_s))
+        groups, starts, ends = _union(*map(np.concatenate, zip(*columns)))
+        edges = np.unique(np.concatenate([starts, ends]))
         mid = (edges[:-1] + edges[1:]) / 2.0
         self.dur = np.diff(edges)
-        self.ref_spks = sorted(ref_iv)
-        self.hyp_spks = sorted(hyp_iv)
-        self.ref = _activity(mid, [ref_iv[s] for s in self.ref_spks])
-        self.hyp = _activity(mid, [hyp_iv[s] for s in self.hyp_spks])
-        self.collar = _activity(mid, [zones])[0]
+        self.ref_spks = list(ref.labels)
+        self.hyp_spks = list(hyp.labels)
+        active = _activity(mid, groups, starts, ends, n_ref + n_hyp + 1)
+        self.ref, self.hyp, self.collar = (active[:n_ref], active[n_ref:-1],
+                                           active[-1])
         self.ref_total = np.array([self.dur[r].sum() for r in self.ref])
         self.hyp_total = np.array([self.dur[h].sum() for h in self.hyp])
 
@@ -428,10 +423,10 @@ def _preprocess_sessions(sessions, points, workdir: Path) -> dict:
     for p in points:
         configs.setdefault(p.dsp_key(), p.dsp_config())
     wavs = {}
-    for key_idx, (dsp_key, cfg) in enumerate(configs.items()):
-        for sess in sessions:
-            x, rate = wavio.read_wav(sess.audio_path)
-            processed, _ = preprocess_chain(Signal(x, rate), cfg)
+    for sess in sessions:
+        signal = Signal(*wavio.read_wav(sess.audio_path))
+        for key_idx, (dsp_key, cfg) in enumerate(configs.items()):
+            processed, _ = preprocess_chain(signal, cfg)
             out = workdir / f"pp_{key_idx}_{sess.session_id}.wav"
             wavio.write_wav(out, processed.samples, processed.sample_rate)
             wavs[(sess.session_id, dsp_key)] = str(out)

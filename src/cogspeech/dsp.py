@@ -25,9 +25,11 @@ quantile needs.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -60,6 +62,7 @@ _UNIT = (lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 _OPEN_UNIT = (lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _FINITE = (math.isfinite, "finite")
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "finite and > 0")
+_NON_NEGATIVE = (lambda v: 0.0 <= v < math.inf, "finite and >= 0")
 _ORDER = (lambda v: v >= 1 and v % 1 == 0, "an integer >= 1")
 
 
@@ -133,7 +136,7 @@ class FilterSpec:
     """Cascaded biquad realization of an IIR design."""
 
     sections: tuple[BiquadSection, ...]
-    design: dict
+    design: MappingProxyType
     sample_rate: int
 
     def to_sos(self) -> np.ndarray:
@@ -143,11 +146,13 @@ class FilterSpec:
         return all(np.all(np.abs(s.poles()) < 1.0) for s in self.sections)
 
 
+@functools.lru_cache(maxsize=64, typed=True)
 def design_highpass(order: int, cutoff_hz: float, sample_rate: int) -> FilterSpec:
     """Butterworth high-pass as second-order sections.
 
     Bilinear transform with prewarping at the cutoff, so the half-power
-    point (-3.01 dB) lands exactly on cutoff_hz.
+    point (-3.01 dB) lands exactly on cutoff_hz. Memoized on the
+    arguments and their types, so callers share one read-only spec.
     """
     if not (0.0 < cutoff_hz < sample_rate / 2):  # also rejects NaN
         raise ConfigError(f"cutoff {cutoff_hz} Hz outside (0, Nyquist = "
@@ -163,7 +168,8 @@ def design_highpass(order: int, cutoff_hz: float, sample_rate: int) -> FilterSpe
     )
     spec = FilterSpec(
         sections=sections,
-        design={"order": order, "cutoff_hz": cutoff_hz, "kind": "highpass"},
+        design=MappingProxyType({"order": order, "cutoff_hz": cutoff_hz,
+                                 "kind": "highpass"}),
         sample_rate=int(sample_rate),
     )
     if not spec.is_stable():

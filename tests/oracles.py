@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written the dumb way: frame-by-frame
-counting for diarization scores, explicit normal equations for ridge,
+counting for diarization scores, one RTTM line and one segment at a time
+for timelines and the interval sweep, explicit normal equations for ridge,
 covariance eigendecomposition for PCA, one np.concatenate per junction
 for the concatenated stream, sequential minimal optimization
 (one pair of dual variables per step) for the linear SVM and the
@@ -17,6 +18,9 @@ import itertools
 import math
 
 import numpy as np
+
+from cogspeech.corpus import TIME_EPS_S, Segment
+from cogspeech.errors import ParseError, ValidationError
 
 FRAME_S = 0.010
 
@@ -158,6 +162,134 @@ def diar_scores(ref_segments, hyp_segments, collar_s=0.0, frame_s=FRAME_S,
         "false_alarm_s": fa * frame_s,
         "confusion_s": confusion * frame_s,
         "scored_total_s": scored * frame_s,
+    }
+
+
+# ---------------------------------------------------------------------------
+# RTTM timelines and the interval sweep, one segment at a time: the
+# per-line parser, the sort-and-scan Timeline.from_segments and the
+# merge loops that the column-wise corpus and diar_eval code replaced
+
+def timeline_segments(segments) -> tuple:
+    """Timeline.from_segments as a scan: the sorted Segment tuple."""
+    segs = tuple(sorted(segments, key=lambda s: (s.onset, s.end, s.speaker)))
+    last_end: dict[str, float] = {}
+    for seg in segs:
+        prev = last_end.get(seg.speaker)
+        if prev is not None and seg.onset < prev - TIME_EPS_S:
+            raise ValidationError(
+                f"same-speaker overlap for {seg.speaker!r}: "
+                f"segment at {seg.onset:.3f}s starts before {prev:.3f}s"
+            )
+        last_end[seg.speaker] = max(prev or 0.0, seg.end)
+    return segs
+
+
+def parse_rttm(text: str) -> tuple:
+    """parse_rttm one line at a time: the sorted Segment tuple."""
+    segments = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith(";"):
+            continue
+        fields = line.split()
+        if len(fields) < 9:
+            raise ParseError(f"expected >= 9 fields, got {len(fields)}", lineno)
+        if fields[0] != "SPEAKER":
+            raise ParseError(f"expected SPEAKER record, got {fields[0]!r}", lineno)
+        try:
+            onset = round(float(fields[3]), 3)
+            duration = round(float(fields[4]), 3)
+        except ValueError as exc:
+            raise ParseError(f"bad time field: {exc}", lineno) from None
+        try:
+            segments.append(Segment(fields[7], onset, duration))
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
+    return timeline_segments(segments)
+
+
+def _merge(intervals) -> list:
+    merged = []
+    for s, e in sorted(intervals):
+        if merged and s <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], e))
+        else:
+            merged.append((s, e))
+    return merged
+
+
+def _speaker_intervals(tl) -> dict:
+    """Merged (start, end) lists per speaker."""
+    by_speaker = {}
+    for seg in tl:
+        by_speaker.setdefault(seg.speaker, []).append((seg.onset, seg.end))
+    return {spk: _merge(ivs) for spk, ivs in by_speaker.items()}
+
+
+def _collar_zones(ref, collar_s: float) -> list:
+    if collar_s <= 0:
+        return []
+    return _merge((b - collar_s, b + collar_s)
+                  for seg in ref for b in (seg.onset, seg.end))
+
+
+def _activity(mid: np.ndarray, interval_lists) -> np.ndarray:
+    """(list, span) mask: span midpoint inside [start, end) of a merged
+    interval of that list."""
+    out = np.zeros((len(interval_lists), mid.size), dtype=bool)
+    for k, ivs in enumerate(interval_lists):
+        if ivs:
+            starts, ends = np.array(ivs, dtype=np.float64).T
+            i = np.searchsorted(starts, mid, side="right") - 1
+            out[k] = (i >= 0) & (mid < ends[np.maximum(i, 0)])
+    return out
+
+
+class Sweep:
+    """diar_eval's elementary-span sweep built from per-speaker merged
+    interval lists; ref and hyp are iterables of Segments."""
+
+    def __init__(self, ref, hyp, collar_s: float = 0.0):
+        ref_iv = _speaker_intervals(ref)
+        hyp_iv = _speaker_intervals(hyp)
+        zones = _collar_zones(ref, collar_s)
+        lists = [*ref_iv.values(), *hyp_iv.values(), zones]
+        edges = np.unique(np.array([t for ivs in lists for iv in ivs for t in iv],
+                                   dtype=np.float64))
+        mid = (edges[:-1] + edges[1:]) / 2.0
+        self.dur = np.diff(edges)
+        self.ref_spks = sorted(ref_iv)
+        self.hyp_spks = sorted(hyp_iv)
+        self.ref = _activity(mid, [ref_iv[s] for s in self.ref_spks])
+        self.hyp = _activity(mid, [hyp_iv[s] for s in self.hyp_spks])
+        self.collar = _activity(mid, [zones])[0]
+        self.ref_total = np.array([self.dur[r].sum() for r in self.ref])
+        self.hyp_total = np.array([self.dur[h].sum() for h in self.hyp])
+
+    def overlap(self, keep=None) -> np.ndarray:
+        """(hyp, ref) co-active duration over the kept spans."""
+        hyp = self.hyp if keep is None else self.hyp & keep
+        return np.array([[self.dur[h & r].sum() for r in self.ref]
+                         for h in hyp]).reshape(len(hyp), len(self.ref))
+
+
+def score_pair(ref, hyp, cfg) -> dict:
+    """diar_eval.score_pair's dict, its metrics read from the Sweep above."""
+    from cogspeech import diar_eval
+    sw = Sweep(ref, hyp, cfg.collar_s)
+    breakdown = diar_eval._der(sw, cfg.score_overlap)
+    overlap = sw.overlap()
+    p, c = diar_eval._purity_coverage(sw, overlap)
+    return {
+        "der": breakdown.der,
+        "jer": diar_eval._jer(sw, overlap),
+        "purity": p,
+        "coverage": c,
+        "missed_s": breakdown.missed_s,
+        "false_alarm_s": breakdown.false_alarm_s,
+        "confusion_s": breakdown.confusion_s,
+        "scored_total_s": breakdown.scored_total_s,
     }
 
 

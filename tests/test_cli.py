@@ -354,6 +354,58 @@ def test_diar_metrics_identity(corpus, tmp_path, capsys, monkeypatch):
     assert sorted(tmp_path.rglob("*")) == written
 
 
+@pytest.mark.parametrize("collar", ["nan", "inf", "-0.1"])
+def test_non_finite_or_negative_collar_is_config_error(corpus, tmp_path,
+                                                       capsys, collar):
+    rttm = str(corpus["root"] / "rttm" /
+               f"{next(iter(corpus['truth'].values()))['session_id']}.rttm")
+    assert_config_error(["diar-metrics", "--ref", rttm, "--hyp", rttm,
+                         "--collar", collar], capsys)
+    tuning, validation = subject_split(corpus)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"gate_alpha": [0.3]}))
+    assert_config_error(
+        ["grid-search", "--grid", str(grid), "--manifest", str(corpus["manifest"]),
+         "--rttm-dir", str(corpus["root"] / "rttm"), "--adapter", "false",
+         "--tuning-subjects", tuning, "--validation-subjects", validation,
+         "--workdir", str(tmp_path / "work"), "--out", str(tmp_path / "grid.csv"),
+         "--collar", collar], capsys)
+    assert not list(tmp_path.rglob("*.wav"))  # refused before any session
+
+
+UNDECODABLE = b"\xff\xfe\x00garbage"
+
+
+def test_undecodable_rttm_fails_its_session_not_the_batch(tmp_path, capsys):
+    corpus = synth.build_corpus(tmp_path / "c", n_subjects=3, seed=2, n_holdout=1)
+    sids = session_ids(corpus)
+    rttm_dir = corpus["root"] / "rttm"
+    (rttm_dir / f"{sids[1]}.rttm").write_bytes(UNDECODABLE)
+    out = tmp_path / "streams"
+    assert main(["streams", "--manifest", str(corpus["manifest"]),
+                 "--rttm-dir", str(rttm_dir), "--outdir", str(out)]) == 4
+    [failure] = read_failures(out)
+    assert failure["session_id"] == sids[1] and "UTF-8" in failure["message"]
+    assert (out / "run_manifest.json").is_file()
+    assert sorted(p.name.split(".")[0] for p in out.glob("*.concat.wav")) \
+        == [sids[0], sids[2]]
+    good = str(rttm_dir / f"{sids[0]}.rttm")
+    bad = str(rttm_dir / f"{sids[1]}.rttm")
+    capsys.readouterr()
+    assert main(["diar-metrics", "--ref", good, "--hyp", bad]) == 4
+    err = capsys.readouterr().err
+    assert "line 1" in err and "UTF-8" in err and "Traceback" not in err
+
+
+def test_undecodable_manifest_is_input_error(corpus, tmp_path, capsys):
+    bad = tmp_path / "m.csv"
+    bad.write_bytes(corpus["manifest"].read_bytes() + UNDECODABLE + b"\n")
+    assert main(["qc", "--manifest", str(bad),
+                 "--out", str(tmp_path / "qc.jsonl")]) == 4
+    err = capsys.readouterr().err
+    assert "UTF-8" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # grid-search
 

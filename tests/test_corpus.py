@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from cogspeech.corpus import (
     CERAD_BINARY_THRESHOLD, LabelHierarchy, Manifest, Segment, SessionRecord,
-    Timeline, load_manifest, parse_rttm, serialize_rttm, validate_hierarchy,
+    Timeline, load_manifest, load_rttm, parse_rttm, serialize_rttm,
+    validate_hierarchy,
 )
 from cogspeech.errors import ParseError, ValidationError
 
@@ -170,3 +173,115 @@ def test_validate_hierarchy_reads_manifest_domain_range():
     assert any(i.code == "out_of_range" for i in validate_hierarchy(man))
     wide = Manifest(records=[rec], domain_range=None)
     assert not validate_hierarchy(wide)
+
+
+# ---------------------------------------------------------------------------
+# Column-wise timelines against the per-line and per-segment oracles
+
+def outcome(fn, *args):
+    """A result, or the type, message and line number of what it raised."""
+    try:
+        return fn(*args)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+
+
+def bits(segments):
+    return [(s.speaker, float(s.onset).hex(), float(s.duration).hex())
+            for s in segments]
+
+
+def same_as_oracle(new, want):
+    if isinstance(want, tuple) and want and isinstance(want[0], type):
+        assert new == want
+    else:
+        assert bits(new) == bits(want)
+
+
+# ms values, values with more decimals (round-half ties among them: 0.1235,
+# 2.0005), values past 2**41 s, exponents, underscores, and values every
+# check rejects
+TIMES = st.one_of(
+    st.integers(0, 4000).map(lambda n: f"{n / 1000:.3f}"),
+    st.integers(0, 40000).map(lambda n: f"{n / 10000:.4f}"),
+    st.integers(0, 400000).map(lambda n: f"{n / 100000:.5f}"),
+    st.floats(0, 50, allow_nan=False).map(repr),
+    st.sampled_from(["0.1235", "2.0005", "0.0625", "1e1", "1_0.5", "3",
+                     "0.0005", "-0.0", "-0.0004", "1e300", "5e-324",
+                     "3333333333333.3335", "123456789012345.67"]),
+)
+BAD_TIMES = st.sampled_from(["-1", "0", "0.0004", "nan", "inf", "1e400", "abc",
+                             "1..2", "0x10", ""])
+SPEAKER_ROW = st.builds(
+    lambda on, du, spk, extra: " ".join(
+        ["SPEAKER", "rec", "1", on, du, "<NA>", "<NA>", spk, "<NA>", "<NA>"]
+        + ["x"] * extra),
+    TIMES, TIMES, st.sampled_from(["A", "B", "spk10", "spk2", "Ä"]),
+    st.integers(0, 2))
+OTHER_ROW = st.one_of(
+    st.just(""), st.just("   "), st.just("; comment"), st.just("  ;indented"),
+    st.builds(lambda on, du: f"SPEAKER rec 1 {on} {du} <NA> <NA> A",
+              TIMES, TIMES),                                  # 8 fields
+    st.builds(lambda on, du: f"SPKR rec 1 {on} {du} <NA> <NA> A <NA> <NA>",
+              TIMES, TIMES),
+    st.builds(lambda on, du: f"SPEAKER rec 1 {on} {du} <NA> <NA> B <NA> <NA>",
+              st.one_of(TIMES, BAD_TIMES), st.one_of(TIMES, BAD_TIMES)),
+    st.builds(lambda on: f"\tSPEAKER  rec 1 {on} 0.5 <NA> <NA> A <NA> <NA>  ",
+              TIMES),
+)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(SPEAKER_ROW, max_size=12), st.lists(OTHER_ROW, max_size=2),
+       st.randoms(use_true_random=False), st.sampled_from(["\n", "\r\n", "\r"]))
+def test_parse_rttm_matches_per_line_oracle(rows, others, rnd, newline):
+    for row in others:
+        rows.insert(rnd.randint(0, len(rows)), row)
+    text = newline.join(rows)
+    same_as_oracle(outcome(lambda: tuple(parse_rttm(text))),
+                   outcome(oracles.parse_rttm, text))
+
+
+# onsets and durations on a 0.5 ms grid: same-speaker segments that
+# touch, repeat, or overlap by less than, exactly or more than TIME_EPS_S
+GRID_SEGMENT = st.builds(
+    lambda spk, a, d: Segment(spk, a / 2000, d / 2000),
+    st.sampled_from("ABC"), st.integers(0, 40), st.integers(1, 8))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.lists(GRID_SEGMENT, max_size=10))
+def test_from_segments_matches_sort_and_scan_oracle(segments):
+    new = outcome(lambda: Timeline.from_segments(segments))
+    same_as_oracle(outcome(lambda: tuple(new)) if isinstance(new, Timeline)
+                   else new, outcome(oracles.timeline_segments, segments))
+    if isinstance(new, Timeline):
+        shuffled = Timeline.from_segments(segments[::-1])
+        assert shuffled == new and hash(shuffled) == hash(new)
+        assert new.speakers() == tuple(dict.fromkeys(s.speaker for s in new))
+        for spk in "ABC":
+            assert new.for_speaker(spk) == tuple(s for s in new if s.speaker == spk)
+
+
+def test_timeline_columns_are_read_only():
+    tl = Timeline.from_segments([Segment("B", 1.0, 1.0), Segment("A", 0.0, 2.0)])
+    assert tl.labels == ("A", "B") and list(tl.codes) == [0, 1]
+    with pytest.raises(ValueError):
+        tl.onsets[0] = 5.0
+    assert tl != Timeline.from_segments([Segment("A", 0.0, 2.0)])
+
+
+def test_load_rttm_names_the_line_of_undecodable_bytes(tmp_path):
+    path = tmp_path / "bad.rttm"
+    path.write_bytes(b"SPEAKER rec 1 0.0 1.0 <NA> <NA> A <NA> <NA>\n"
+                     b"\xff\xfe\x00garbage\n")
+    with pytest.raises(ParseError) as err:
+        load_rttm(path)
+    assert err.value.line_number == 2 and "UTF-8" in str(err.value)
+
+
+def test_load_manifest_reports_undecodable_bytes(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(_manifest_text([GOOD_ROW]).encode() + b"\xff\xfe\n")
+    with pytest.raises(ParseError, match="UTF-8"):
+        load_manifest(path)

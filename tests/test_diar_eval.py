@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from cogspeech.corpus import Segment, Timeline, load_rttm, serialize_rttm
@@ -260,6 +260,39 @@ def test_score_pair_matches_frame_oracle_property(case):
         assert_close(got[key], want[key], key)
 
 
+@st.composite
+def nested_segments(draw, names):
+    """0-4 speakers on a 0.5 ms grid: turns that nest in other speakers'
+    turns, touch, share onsets, or repeat or overlap a turn of their own
+    speaker by at most TIME_EPS_S."""
+    segs = []
+    for k in range(draw(st.integers(0, 4))):
+        t = draw(st.integers(0, 20))
+        for _ in range(draw(st.integers(1, 5))):
+            dur = draw(st.integers(1, 400))
+            segs.append(Segment(f"{names}{k}", t / 2000, dur / 2000))
+            t += dur + draw(st.sampled_from([-2, -1, 0, 0, 1, 7, 300]))
+            t = max(t, 0)
+    return segs
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(nested_segments("S"), st.one_of(nested_segments("S"), nested_segments("H")),
+       st.sampled_from([0.0, 0.05, 0.25, 2.0]), st.booleans())
+def test_score_pair_is_bitwise_the_merge_loop_sweep(ref, hyp, collar, overlap):
+    """The vectorized merge against the per-speaker merge loops it
+    replaced, at a zero collar and at collars wider than every gap."""
+    try:  # a 1 ms overlap may round past TIME_EPS_S
+        ref_segs, hyp_segs = map(oracles.timeline_segments, (ref, hyp))
+    except ValidationError:
+        assume(False)
+    cfg = ScoringConfig(collar_s=collar, score_overlap=overlap)
+    got = score_pair(Timeline.from_segments(ref), Timeline.from_segments(hyp), cfg)
+    want = oracles.score_pair(ref_segs, hyp_segs, cfg)
+    assert {k: float(v).hex() for k, v in got.items()} == \
+        {k: float(v).hex() for k, v in want.items()}
+
+
 def test_overlap_exclusion_toggle_matches_oracle():
     rng = np.random.default_rng(321)
     for i in range(20):
@@ -431,6 +464,25 @@ def test_grid_identity_adapter_scores_zero(tiny_grid_corpus, tmp_path):
     assert results[0].tuning["der"] == 0.0
     assert results[0].validation["der"] == 0.0
     assert results[0].validation["jer"] == 0.0
+
+
+def test_grid_reads_each_session_wav_once(tiny_grid_corpus, tmp_path,
+                                         monkeypatch):
+    reads = []
+
+    def counted(path):
+        reads.append(path)
+        return read_wav(path)
+
+    read_wav = wavio.read_wav
+    monkeypatch.setattr(wavio, "read_wav", counted)
+    root = tiny_grid_corpus["root"]
+    adapter = DiarizerAdapter("cp " + str(root) + "/{session_id}.rttm {output}")
+    results = run_grid_search({"gate_alpha": [0.3, 0.5, 1.0]},
+                              tiny_grid_corpus["sessions"], adapter,
+                              tiny_grid_corpus["split"], workdir=tmp_path)
+    assert [r.status for r in results] == ["ok"] * 3
+    assert sorted(reads) == sorted(s.audio_path for s in tiny_grid_corpus["sessions"])
 
 
 def test_grid_planted_degradation_ranks_last(tiny_grid_corpus, tmp_path):

@@ -68,6 +68,16 @@ def test_highpass_rejects_nyquist_cutoff():
             design_highpass(6, cutoff, FS)
 
 
+def test_highpass_design_is_shared_and_read_only():
+    spec = design_highpass(6, 100.0, 16000)
+    assert design_highpass(6, 100.0, 16000) is spec
+    with pytest.raises(TypeError):
+        spec.design["order"] = 2
+    # the memo tells argument types apart, so each spec records its own
+    assert type(design_highpass(6.0, 100.0, 16000).design["order"]) is float
+    assert type(spec.design["order"]) is int
+
+
 def test_apply_filter_kills_dc():
     spec = design_highpass(6, 100.0, FS)
     x = Signal(np.full(FS, 0.5), FS)
