@@ -145,7 +145,8 @@ def _best_assignment(overlap: np.ndarray) -> list:
     stays unpaired). Zero-overlap pairs take part in the tie-break and
     are dropped only from the result; they change no metric.
     """
-    # imported here: scipy.optimize costs about 0.5 s of start-up
+    # imported here: scipy.optimize costs 0.33-0.48 s of start-up (2-core
+    # x86-64 VM, numpy loaded)
     from scipy.optimize import linear_sum_assignment
 
     def best(rows, cols) -> float:
@@ -458,7 +459,8 @@ def run_grid_search(schema: dict, sessions, adapter: DiarizerAdapter,
     if scoring is None:
         scoring = ScoringConfig()
     points = expand_grid(schema)
-    _warn_unreferenced(schema, adapter.command_template)
+    if type(adapter).run is DiarizerAdapter.run:  # else run reads the params
+        _warn_unreferenced(schema, adapter.command_template)
     tuning = [s for s in sessions if s.subject_id in split.tuning_subjects]
     validation = [s for s in sessions if s.subject_id in split.validation_subjects]
     stray = [s.session_id for s in sessions

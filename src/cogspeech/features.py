@@ -18,16 +18,22 @@ zero-copy strided views of the samples, and every per-frame decision
 formant selection) runs as array operations over all frames at once.
 Frames and their levels come from ``dsp._frame_levels``, the meter that
 QC shares; formants, which need no level, take the bare frame view of
-``dsp._frame_signal``. They go through the level meter, the FFTs, autocorrelations and
-companion-matrix eigenvalues in the blocks of ``dsp._blocks`` (at most
-``dsp._BLOCK_FRAMES`` frames), so the transient arrays have a fixed size
-and peak memory does not grow with the length of the recording; only the
-per-frame contours do.
+``dsp._frame_signal``. They go through the level meter, the FFTs,
+autocorrelations and companion-matrix eigenvalues in the blocks of
+``dsp._blocks`` (at most ``dsp._BLOCK_FRAMES`` frames), so the transient
+arrays have a fixed size and peak memory does not grow with the length
+of the recording; only the per-frame contours do.
+
+F0 and HNR share one autocorrelation pass per stream (``_acf_pass``):
+each frame's normalized ACF at the 40 ms F0 window is taken once, and
+only for frames above the energy floor, which can be neither voiced nor
+carry an HNR; F0 and the HNR peak near it are read from the same rows.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -140,20 +146,19 @@ def _normalized_acf(frames: np.ndarray, lag_lo: int, lag_hi: int) -> np.ndarray:
     return acf[:, lag_lo:lag_hi + 1] / denom
 
 
-def _pick_f0(r: np.ndarray, candidate: np.ndarray, lag_lo: int, fs: int,
-             fmin: float, fmax: float, voicing_threshold: float):
+def _pick_f0(r: np.ndarray, lag_lo: int, fs: int, fmin: float, fmax: float,
+             voicing_threshold: float):
     """(f0, voiced) per row of r, whose columns are lags lag_lo - 1 ..
-    lag_hi + 1; only rows flagged in candidate can be voiced."""
+    lag_hi + 1."""
     inner = r[:, 1:-1]  # lags lag_lo..lag_hi
     peaks = (inner > r[:, :-2]) & (inner >= r[:, 2:])
     best = np.where(peaks, inner, -np.inf).max(axis=1)
-    voiced = candidate & peaks.any(axis=1) & (best >= voicing_threshold)
+    voiced = peaks.any(axis=1) & (best >= voicing_threshold)
     # halving guard: the smallest lag within 90% of the best peak
     near = (inner >= 0.9 * best[:, None]) | (best <= 0)[:, None]
     p = np.argmax(peaks & near, axis=1)
-    rows = np.arange(len(r))
     # parabolic refinement around the chosen peak
-    a, b, c = r[rows, p], r[rows, p + 1], r[rows, p + 2]
+    a, b, c = np.take_along_axis(r, p[:, None] + np.arange(3), axis=1).T
     denom = a - 2 * b + c
     with np.errstate(divide="ignore", invalid="ignore"):
         delta = np.where(np.abs(denom) > 1e-12, 0.5 * (a - c) / denom, 0.0)
@@ -162,39 +167,84 @@ def _pick_f0(r: np.ndarray, candidate: np.ndarray, lag_lo: int, fs: int,
     return np.where(voiced, f0, 0.0), voiced
 
 
+def _hnr_peak(r: np.ndarray, lag_lo: int, fs: int, f0: np.ndarray,
+              voiced: np.ndarray) -> np.ndarray:
+    """Best value per row of r, whose columns are lags lag_lo, lag_lo + 1,
+    ...: within +-2 lags of the F0 period on voiced rows, anywhere
+    otherwise."""
+    has_f0 = voiced & (f0 > 0)
+    lag = np.where(has_f0, np.round(fs / np.where(has_f0, f0, 1.0)),
+                   0).astype(np.int64)
+    first = np.maximum(0, lag - 2 - lag_lo)
+    stop = np.minimum(r.shape[1], lag + 3 - lag_lo)
+    cols = np.arange(r.shape[1])
+    in_window = ((cols >= first[:, None]) & (cols < stop[:, None])
+                 | ~(has_f0 & (stop > first))[:, None])
+    return np.where(in_window, r, -np.inf).max(axis=1)
+
+
+def _acf_pass(x: Signal, win_s: float = F0_WIN_S, hop_s: float = HOP_S,
+              fmin: float = 60.0, fmax: float = 400.0,
+              voicing_threshold: float = VOICING_THRESHOLD,
+              energy_floor_dbfs: float = ENERGY_FLOOR_DBFS, *,
+              hnr: bool = False, hnr_f0: LldContour | None = None):
+    """One normalized-autocorrelation pass over a stream: (frame_db, f0
+    contour, HNR peaks or None), per-frame scalars only.
+
+    Frames x once and takes the ACF of each frame above the energy floor
+    once, in the blocks of ``dsp._blocks``; frames below the floor are
+    never transformed (they are unvoiced and carry no HNR, so their peak
+    stays 0). Each block yields F0 and, with hnr, the HNR peak, whose
+    search window follows hnr_f0 (cut to its length; no F0 is picked
+    then) or else the F0 just picked, whose arrays are then read-only.
+    """
+    fs = x.sample_rate
+    frames, frame_db = _frame_levels(x, win_s, hop_s)
+    nf = frames.shape[0] if hnr_f0 is None else min(frames.shape[0], len(hnr_f0))
+    lag_lo = max(2, int(math.floor(fs / fmax)))
+    lag_hi = min(frames.shape[1] - 2, int(math.ceil(fs / fmin)))
+    if nf and lag_hi <= lag_lo:
+        raise ValidationError(f"window too short for fmin {fmin} Hz")
+    f0, voiced = ((np.zeros(nf), np.zeros(nf, dtype=bool)) if hnr_f0 is None
+                  else (hnr_f0.values[:nf], hnr_f0.voiced_mask[:nf]))
+    peak = np.zeros(nf) if hnr else None
+    live = np.flatnonzero(frame_db[:nf] > energy_floor_dbfs)
+    for b in _blocks(len(live)):
+        idx = live[b]
+        block = frames[idx]
+        block -= block.mean(axis=1, keepdims=True)
+        # pad one lag each side for the parabolic interpolation
+        r = _normalized_acf(block, lag_lo - 1, lag_hi + 1)
+        if hnr_f0 is None:
+            f0[idx], voiced[idx] = _pick_f0(r, lag_lo, fs, fmin, fmax,
+                                            voicing_threshold)
+        if hnr:
+            peak[idx] = _hnr_peak(r[:, 1:-1], lag_lo, fs, f0[idx], voiced[idx])
+    if hnr and hnr_f0 is None:
+        # the peaks belong to this contour: an in-place edit must raise
+        f0.flags.writeable = voiced.flags.writeable = False
+    return frame_db[:nf], LldContour("f0", f0, voiced, frame_s=hop_s), peak
+
+
 def track_f0(x: Signal, fmin: float = 60.0, fmax: float = 400.0,
              win_s: float = F0_WIN_S, hop_s: float = HOP_S,
              voicing_threshold: float = VOICING_THRESHOLD,
-             energy_floor_dbfs: float = ENERGY_FLOOR_DBFS) -> LldContour:
+             energy_floor_dbfs: float = ENERGY_FLOOR_DBFS, *,
+             analysis=None) -> LldContour:
     """Fundamental frequency by normalized autocorrelation.
 
     Candidate peaks within 90% of the best are resolved toward the
     smallest lag (halving guard), then refined by parabolic
-    interpolation. Frames below the energy floor or peak-clarity
-    threshold are unvoiced. Peaks are picked on all frames of a block at
-    once; blocks bound the autocorrelation arrays.
+    interpolation. Frames below the energy floor (never transformed) or
+    the peak-clarity threshold are unvoiced. Peaks are picked on all
+    frames of a block at once; blocks bound the autocorrelation arrays.
+
+    analysis, a cached zero-argument call of ``_acf_pass`` that
+    extract_feature_sets shares with jitter_shimmer_hnr, gives the
+    contour when passed: x and every other setting are then not read.
     """
-    if x.sample_rate < 8000:
-        raise ValidationError(f"need fs >= 8 kHz, got {x.sample_rate}")
-    fs = x.sample_rate
-    frames, frame_db = _frame_levels(x, win_s, hop_s)
-    nf = frames.shape[0]
-    if nf == 0:
-        return LldContour("f0", np.zeros(0), np.zeros(0, dtype=bool))
-    lag_lo = max(2, int(math.floor(fs / fmax)))
-    lag_hi = min(frames.shape[1] - 2, int(math.ceil(fs / fmin)))
-    if lag_hi <= lag_lo:
-        raise ValidationError(f"window too short for fmin {fmin} Hz")
-    values = np.zeros(nf)
-    voiced = np.zeros(nf, dtype=bool)
-    for b in _blocks(nf):
-        block = frames[b] - frames[b].mean(axis=1, keepdims=True)
-        # pad one lag each side for the interpolation
-        r = _normalized_acf(block, lag_lo - 1, lag_hi + 1)
-        values[b], voiced[b] = _pick_f0(r, frame_db[b] > energy_floor_dbfs,
-                                        lag_lo, fs, fmin, fmax,
-                                        voicing_threshold)
-    return LldContour("f0", values, voiced, frame_s=hop_s)
+    return (analysis() if analysis is not None else _acf_pass(
+        x, win_s, hop_s, fmin, fmax, voicing_threshold, energy_floor_dbfs))[1]
 
 
 def _pulse_marks(samples: np.ndarray, fs: int, f0c: LldContour,
@@ -215,7 +265,7 @@ def _pulse_marks(samples: np.ndarray, fs: int, f0c: LldContour,
         marks = []
         lo, hi = a, min(b, a + int(1.3 * t0) + 1)
         while hi - lo >= 2:
-            m = lo + int(np.argmax(samples[lo:hi]))
+            m = lo + int(samples[lo:hi].argmax())
             marks.append(m)
             lo = m + int(0.7 * t0)
             hi = min(b, m + int(1.3 * t0) + 1)
@@ -224,14 +274,9 @@ def _pulse_marks(samples: np.ndarray, fs: int, f0c: LldContour,
             # a truncated search window at a run edge can land on a
             # decaying tail instead of a pulse; drop weak edge marks
             amps = np.abs(samples[m_arr])
-            med = float(np.median(amps))
-            lo_i, hi_i = 0, len(m_arr)
-            while hi_i > lo_i and amps[hi_i - 1] < 0.3 * med:
-                hi_i -= 1
-            while hi_i > lo_i and amps[lo_i] < 0.3 * med:
-                lo_i += 1
-            if hi_i - lo_i >= 3:
-                runs.append(m_arr[lo_i:hi_i])
+            strong = np.flatnonzero(amps >= 0.3 * float(np.median(amps)))
+            if strong.size and strong[-1] - strong[0] >= 2:
+                runs.append(m_arr[strong[0]:strong[-1] + 1])
     return runs
 
 
@@ -279,8 +324,8 @@ def _window_sums(series, lo: np.ndarray, hi: np.ndarray):
 
 
 def jitter_shimmer_hnr(x: Signal, f0c: LldContour, win_s: float = F0_WIN_S,
-                       hop_s: float = HOP_S, stat_win_s: float = 0.060
-                       ) -> tuple[LldContour, LldContour, LldContour]:
+                       hop_s: float = HOP_S, stat_win_s: float = 0.060, *,
+                       analysis=None) -> tuple[LldContour, LldContour, LldContour]:
     """Local jitter, local shimmer, and autocorrelation HNR per frame.
 
     Jitter and shimmer need pulse marks: within each frame's window the
@@ -290,17 +335,22 @@ def jitter_shimmer_hnr(x: Signal, f0c: LldContour, win_s: float = F0_WIN_S,
     frame autocorrelation peak (within +-2 lags of the F0 period on voiced
     frames, anywhere in the pitch range otherwise) and is defined wherever
     the frame has energy, voiced or not.
+
+    analysis is the cached ``_acf_pass`` whose F0 contour f0c is (see
+    track_f0); its frame levels and HNR peaks, taken at the F0 window and
+    hop, are read as they are, so win_s and hop_s place only the jitter
+    and shimmer windows. Without it, or for another contour,
+    ``_acf_pass`` runs here with the search window following f0c.
     """
     fs = x.sample_rate
-    frames, frame_db = _frame_levels(x, win_s, hop_s)
-    nf = min(frames.shape[0], len(f0c))
+    frame_db, own_f0c, peak = analysis() if analysis is not None else (None, None, None)
+    if own_f0c is not f0c:
+        frame_db, _, peak = _acf_pass(x, win_s, hop_s, hnr=True, hnr_f0=f0c)
+    nf = min(len(frame_db), len(f0c))
     voiced = f0c.voiced_mask[:nf]
     if nf == 0 or not np.any(voiced):
-        empty = np.zeros(0)
-        none = np.zeros(0, dtype=bool)
-        return (LldContour("jitter", empty, none),
-                LldContour("shimmer", empty, none),
-                LldContour("hnr_db", empty, none))
+        return tuple(LldContour(name, np.zeros(0), np.zeros(0, dtype=bool))
+                     for name in ("jitter", "shimmer", "hnr_db"))
 
     hop = int(round(hop_s * fs))
     win = int(round(win_s * fs))
@@ -315,25 +365,7 @@ def jitter_shimmer_hnr(x: Signal, f0c: LldContour, win_s: float = F0_WIN_S,
         jit = np.where(jit_mask, (s_dif / n_dif) / (s_per / n_per), 0.0)
         shim = np.where(shim_mask, (s_adf / n_adf) / (s_amp / n_amp), 0.0)
 
-    # HNR from the best normalized-autocorrelation peak in the pitch range
-    lag_lo = max(2, int(math.floor(fs / 400.0)))
-    lag_hi = min(win - 2, int(math.ceil(fs / 60.0)))
-    f0 = f0c.values[:nf]
-    has_f0 = voiced & (f0 > 0)
-    lag = np.where(has_f0, np.round(fs / np.where(has_f0, f0, 1.0)),
-                   0).astype(np.int64)
-    first = np.maximum(0, lag - 2 - lag_lo)
-    stop = np.minimum(lag_hi - lag_lo + 1, lag + 3 - lag_lo)
-    near_f0 = has_f0 & (stop > first)
-    cols = np.arange(lag_hi - lag_lo + 1)
-    peak = np.empty(nf)
-    for b in _blocks(nf):
-        block = frames[b] - frames[b].mean(axis=1, keepdims=True)
-        r = _normalized_acf(block, lag_lo, lag_hi)
-        in_window = ((cols >= first[b, None]) & (cols < stop[b, None])
-                     | ~near_f0[b, None])
-        peak[b] = np.where(in_window, r, -np.inf).max(axis=1)
-    peak = np.clip(peak, 1e-12, 1.0 - 1e-12)
+    peak = np.clip(peak[:nf], 1e-12, 1.0 - 1e-12)
     hnr_mask = frame_db[:nf] > ENERGY_FLOOR_DBFS
     hnr = np.where(hnr_mask, np.clip(10.0 * np.log10(peak / (1.0 - peak)),
                                      HNR_MIN_DB, HNR_MAX_DB), HNR_MIN_DB)
@@ -473,8 +505,6 @@ def formant_bandwidths(x: Signal, f0c: LldContour, order: int | None = None,
     Voiced frames are fitted a block at a time: a batched Levinson-Durbin
     recursion, then one stacked companion-matrix eigenvalue call.
     """
-    if x.sample_rate < 8000:
-        raise ValidationError(f"need fs >= 8 kHz, got {x.sample_rate}")
     fs = x.sample_rate
     if order is None:
         order = fs // 1000 + 2
@@ -596,8 +626,10 @@ def extract_feature_sets(prosody: Signal | None, concat: Signal | None
     if concat is None:
         eg_vqual = FeatureVector("EG_VQUAL", {}, EG_VQUAL_NAMES)
     else:
-        f0c = track_f0(concat)
-        jit, shim, hnr = jitter_shimmer_hnr(concat, f0c)
+        # one autocorrelation pass for F0 and HNR, run inside track_f0
+        acf = functools.cache(functools.partial(_acf_pass, concat, hnr=True))
+        f0c = track_f0(concat, analysis=acf)
+        jit, shim, hnr = jitter_shimmer_hnr(concat, f0c, analysis=acf)
         slopes = spectral_slopes(concat, f0c)
         formants = formant_bandwidths(concat, f0c)
         fv = apply_functionals([jit, shim, hnr, *slopes, *formants],

@@ -4,6 +4,8 @@ import json
 import math
 import shlex
 import sys
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -527,6 +529,37 @@ def test_grid_warns_once_per_parameter_the_template_never_names(
     assert len(messages) == 2
     assert "'diarizer.pad'" in messages[0] and "'diarizer.tag'" in messages[1]
     assert len(results) == 4 and all(r.status == "ok" for r in results)
+
+
+@dataclass(frozen=True)
+class _ReferenceAdapter(DiarizerAdapter):
+    """Reads its parameters in run, not through the template: variant 0
+    returns the session's reference, variant 1 drops its last segment."""
+
+    references: tuple = ()  # (session_id, Timeline) pairs
+
+    def run(self, input_wav, output_rttm, session_id, params):
+        ref = list(dict(self.references)[session_id])
+        return Timeline.from_segments(ref[:len(ref) - params["variant"]])
+
+
+def test_grid_warns_only_for_the_template_adapter(tiny_grid_corpus, tmp_path):
+    sessions = tiny_grid_corpus["sessions"]
+    adapter = _ReferenceAdapter(
+        "stored", references=tuple((s.session_id, s.reference) for s in sessions))
+    schema = {"diarizer.variant": [0, 1]}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = run_grid_search(schema, sessions, adapter,
+                                  tiny_grid_corpus["split"],
+                                  workdir=tmp_path / "sub")
+    assert [str(w.message) for w in caught] == []
+    assert [r.tuning["der"] > 0 for r in results] == [False, True]
+    root = tiny_grid_corpus["root"]
+    plain = DiarizerAdapter("cp " + str(root) + "/{session_id}.rttm {output}")
+    with pytest.warns(UserWarning, match="'diarizer.variant'"):
+        run_grid_search(schema, sessions, plain, tiny_grid_corpus["split"],
+                        workdir=tmp_path / "base")
 
 
 def test_grid_all_failed_raises(tiny_grid_corpus, tmp_path):
