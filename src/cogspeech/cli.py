@@ -68,15 +68,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _jobs(text: str) -> int:
-    """The --jobs value: an int >= 1."""
+def _count(text: str) -> int:
+    """A --jobs or --dim value: an int >= 1."""
     try:
-        jobs = int(text)
+        count = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
-    return jobs
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
 
 
 def _sha256(path) -> str:
@@ -504,29 +504,68 @@ def _cmd_cv(args) -> int:
     _write_jsonl(outdir / "fit_log.jsonl",
                  (record.to_dict() for record in fit_log), sort_keys=True)
     code = _finish(args, outdir, [args.manifest, args.features, args.grid])
-    metric = "r" if target.kind == "regression" else "balanced_accuracy"
+    metric = _METRIC[target.kind]
     s = report.summary[metric]
     print(f"{target.name} (level {target.level}): {metric} = "
           f"{s['mean']:.3f} +- {s['sd']:.3f} over {len(report.folds)} folds")
     return code
 
 
-def _read_voted_config(path) -> tuple[dict, model.PipelineConfig]:
-    """A cv report and the majority-vote config it names."""
-    payload = _read_json_object(path, "cv report")
-    if "majority_vote_config_params" not in payload:
-        raise ConfigError(f"cv report {path} has no majority_vote_config_params")
-    return payload, model.config_from_dict(payload["majority_vote_config_params"])
+_METRIC = {"regression": "r", "classification": "balanced_accuracy"}
+_VOTED = "majority_vote_config_params"
+
+
+def _read_result(path, what: str, part: str) -> dict:
+    """A cv report or holdout result, checked before a reader takes part
+    from it.
+
+    Labels must be strings where present (null counts as absent). Part
+    _VOTED must be a pipeline config; it is parsed in place into a
+    PipelineConfig. Part "summary" or "metrics" needs a target (an int
+    level from 1 to 3, a string name, kind regression or classification)
+    and that kind's metric: its mean and SD in the summary, its value in
+    the metrics, each a number (NaN too, as pearson_r writes it). A bad
+    key is a ConfigError naming the file and the key."""
+    payload = _read_json_object(path, what)
+
+    def check(keys, test, wording):
+        value = payload
+        for key in keys:
+            value = value.get(key) if isinstance(value, dict) else None
+        if not test(value):
+            raise ConfigError(f"{'.'.join(keys)} must be {wording}, "
+                              f"got {value!r}")
+        return value
+
+    try:
+        for label in ("input_test_label", "feature_set_label"):
+            check((label,), lambda v: v is None or isinstance(v, str),
+                  "a string")
+        if part == _VOTED:
+            payload[part] = model.config_from_dict(
+                check((part,), lambda v: isinstance(v, dict), "an object"))
+            return payload
+        check(("target", "level"), lambda v: type(v) is int and 1 <= v <= 3,
+              "an int from 1 to 3")
+        check(("target", "name"), lambda v: isinstance(v, str), "a string")
+        metric = _METRIC[check(("target", "kind"), lambda v: v in tuple(_METRIC),
+                               "regression or classification")]
+        for keys in ([(part, metric, "mean"), (part, metric, "sd")]
+                     if part == "summary" else [(part, metric)]):
+            check(keys, lambda v: type(v) in (int, float), "a number")
+    except ConfigError as exc:
+        raise ConfigError(f"{what} {path}: {exc}") from None
+    return payload
 
 
 def _cmd_holdout(args) -> int:
     target, dev, holdout = _dataset(args, "development", "holdout")
-    cv_payload, config = _read_voted_config(args.config_from)
-    result, record = model.holdout_eval(dev, holdout, config, target)
+    cv = _read_result(args.config_from, "cv report", _VOTED)
+    result, record = model.holdout_eval(dev, holdout, cv[_VOTED], target)
     model.assert_no_leakage([record])
-    result.update(dev_summary=cv_payload.get("summary"),
-                  feature_set_label=cv_payload.get("feature_set_label"),
-                  input_test_label=cv_payload.get("input_test_label"))
+    result.update(dev_summary=cv.get("summary"),
+                  feature_set_label=cv.get("feature_set_label"),
+                  input_test_label=cv.get("input_test_label"))
     _write_json(args.out, result)
     code = _finish(args, Path(args.out).parent,
                    [args.manifest, args.features, args.config_from])
@@ -539,7 +578,7 @@ def _cmd_importance(args) -> int:
         raise ConfigError("importance ranking needs a classification target")
     _, data = _dataset(args, args.split)
     if args.config_from:
-        _, config = _read_voted_config(args.config_from)
+        config = _read_result(args.config_from, "cv report", _VOTED)[_VOTED]
     else:
         config = model.PipelineConfig(estimator="linear_svm", C=args.C,
                                       pca="passthrough")
@@ -555,43 +594,24 @@ def _cmd_importance(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cv_payloads = [_read_json_object(path, "cv report") for path in args.cv]
-    ho_payloads = [_read_json_object(path, "holdout result")
-                   for path in args.holdout or []]
+    def key(p):  # a holdout result scores the same target as its cv report
+        return (p.get("input_test_label") or "", p["target"]["level"],
+                p["target"]["name"], p.get("feature_set_label") or "",
+                _METRIC[p["target"]["kind"]])
 
-    def key(p):
-        return (p.get("input_test_label"), p["target"]["level"],
-                p["target"]["name"], p.get("feature_set_label"))
-
-    rows = []
-    try:
-        ho_by_key = {key(p): p for p in ho_payloads}
-        for p in cv_payloads:
-            kind = p["target"]["kind"]
-            metric = "r" if kind == "regression" else "balanced_accuracy"
-            s = p["summary"][metric]
-            ho = ho_by_key.get(key(p))
-            ho_value = ho["metrics"][metric] if ho else None
-            rows.append({
-                "level_target": f"L{p['target']['level']}-{p['target']['name']}",
-                "input_test": p.get("input_test_label", ""),
-                "feature": p.get("feature_set_label", ""),
-                "metric": metric,
-                "dev_mean": s["mean"], "dev_sd": s["sd"],
-                "holdout": ho_value,
-                "level": p["target"]["level"],
-                "target": p["target"]["name"],
-            })
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"malformed cv report or holdout result: "
-                          f"{type(exc).__name__} {exc}") from None
+    holdouts = {key(p): p["metrics"][key(p)[-1]] for p in (
+        _read_result(path, "holdout result", "metrics")
+        for path in args.holdout or [])}
+    rows = [(*key(p), p["summary"][key(p)[-1]], holdouts.get(key(p)))
+            for p in (_read_result(path, "cv report", "summary")
+                      for path in args.cv)]
     outdir = Path(args.out_dir)
     header = ("Level-Target", "Input Test", "Feature", "Metric", "DEV Set",
               "HO Set")
-    table = [(r["level_target"], r["input_test"], r["feature"], r["metric"],
-              f"{r['dev_mean']:.3f} +- {r['dev_sd']:.3f}",
-              "" if r["holdout"] is None else f"{r['holdout']:.3f}")
-             for r in rows]
+    table = [(f"L{level}-{name}", test, feature, metric,
+              f"{s['mean']:.3f} +- {s['sd']:.3f}",
+              "" if ho is None else f"{ho:.3f}")
+             for test, level, name, feature, metric, s, ho in rows]
     with _create(outdir / "hierarchy_table.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -599,10 +619,9 @@ def _cmd_report(args) -> int:
     with _create(outdir / "per_level_lines.csv", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["input_test", "level", "target", "dev_mean", "holdout"])
-        for r in sorted(rows, key=lambda r: (r["input_test"], r["level"])):
-            w.writerow([r["input_test"], r["level"], r["target"],
-                        f"{r['dev_mean']:.4f}",
-                        "" if r["holdout"] is None else f"{r['holdout']:.4f}"])
+        for test, level, name, _, _, s, ho in sorted(rows, key=lambda r: r[:2]):
+            w.writerow([test, level, name, f"{s['mean']:.4f}",
+                        "" if ho is None else f"{ho:.4f}"])
     code = _finish(args, outdir, [*args.cv, *(args.holdout or [])])
     widths = (16, 12, 10, 18, 22, 8)
     for cells in (header, *table):
@@ -627,7 +646,7 @@ def build_parser() -> _Parser:
         return p
 
     def add_jobs(p):
-        p.add_argument("--jobs", type=_jobs, default=1)
+        p.add_argument("--jobs", type=_count, default=1)
 
     def add_target_args(p):
         p.add_argument("--level", type=int, required=True, choices=[1, 2, 3])
@@ -672,7 +691,7 @@ def build_parser() -> _Parser:
 
     p = command("embed-import", _cmd_embed_import, "ingest external embeddings")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_count, required=True)
     p.add_argument("--out", required=True)
 
     p = command("diar-metrics", _cmd_diar_metrics,

@@ -205,7 +205,6 @@ class GateConfig:
 
     frame_len: int
     hop: int
-    window: str = "hann"
     noise_quantile: float = 0.10
     threshold_margin_db: float = 6.0
     alpha: float = 0.3
@@ -217,8 +216,6 @@ class GateConfig:
         for name, rule in (("alpha", _UNIT), ("noise_quantile", _OPEN_UNIT),
                            ("threshold_margin_db", _FINITE)):
             _check(name, getattr(self, name), *rule)
-        if self.window != "hann":
-            raise ConfigError(f"unsupported window {self.window!r}")
 
     @classmethod
     def at_rate(cls, sample_rate: int, frame_s: float = 0.025, hop_s: float = 0.010,

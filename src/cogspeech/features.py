@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsp import Signal, _blocks, _frame_levels, _frame_signal, _runs
-from .errors import InputError, ValidationError
+from .corpus import _parse_float
+from .errors import InputError, ParseError, ValidationError
 
 FRAME_S = 0.025
 HOP_S = 0.010
@@ -646,88 +647,74 @@ def extract_feature_sets(prosody: Signal | None, concat: Signal | None
 # ---------------------------------------------------------------------------
 # Embedding ingestion and feature table I/O
 
-def _embedding_names(dim: int) -> list[str]:
-    width = max(3, len(str(dim - 1)))
-    return [f"emb_{i:0{width}d}" for i in range(dim)]
-
-
-def _pool_rows(session_id: str, rows: list, expected_dim: int) -> FeatureVector:
+def _pool_rows(where: str, rows: list, names: list) -> FeatureVector:
+    """The mean of one session's frames, one value per name; where names the
+    session in errors."""
     try:
         mat = np.array(rows, dtype=np.float64)
-    except ValueError:
-        raise InputError(f"session {session_id}: frame vectors have "
-                         f"inconsistent lengths")
-    if mat.ndim == 1:
-        mat = mat[None, :]
-    if mat.shape[1] != expected_dim:
-        raise InputError(f"session {session_id}: got {mat.shape[1]} dims, "
-                         f"expected {expected_dim}")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: frames are not vectors of numbers: {exc}")
+    if mat.ndim != 2 or mat.shape[1] != len(names):
+        raise InputError(f"{where}: got frames of shape {mat.shape[1:]}, "
+                         f"expected ({len(names)},)")
     bad = np.argwhere(~np.isfinite(mat))
     if bad.size:
         frame, dim = bad[0]
-        raise InputError(f"session {session_id}: non-finite value at frame "
-                         f"{frame}, dimension {dim}")
-    pooled = mat.mean(axis=0)
-    names = _embedding_names(expected_dim)
-    return FeatureVector("EMBEDDING", dict(zip(names, pooled.tolist())))
+        raise InputError(f"{where}: non-finite value at frame {frame}, "
+                         f"dimension {dim}")
+    return FeatureVector("EMBEDDING", dict(zip(names, mat.mean(axis=0).tolist())))
+
+
+def _embedding_records(path: str):
+    """(line, session_id, declared dim, frames) of each record of an
+    embedding dump: a JSON-lines object or a CSV row. A CSV line 1 whose
+    dim cell is not a number is a header. A record that does not parse is
+    an InputError naming the file and the line."""
+    jsonl = path.endswith((".jsonl", ".json"))
+    with open(path, newline="") as fh:
+        for lineno, item in enumerate(fh if jsonl else csv.reader(fh), 1):
+            try:
+                if jsonl and item.strip():
+                    obj = json.loads(item)
+                    vals = obj["values"]
+                    yield (lineno, str(obj["session_id"]), float(obj["dim"]),
+                           vals if vals and isinstance(vals[0], list) else [vals])
+                elif item and not jsonl:
+                    sid, dim, *vals = item
+                    try:
+                        dim = float(dim)
+                    except ValueError:
+                        if lineno == 1:
+                            continue  # the header
+                        raise
+                    yield lineno, sid, dim, [[float(v) for v in vals]]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"{path} line {lineno}: malformed record: "
+                                 f"{type(exc).__name__} {exc}") from None
 
 
 def load_embeddings(path, expected_dim: int) -> dict:
-    """session_id -> mean-pooled FeatureVector.
+    """session_id -> mean-pooled FeatureVector of features emb_000,
+    emb_001, ... (at least three digits).
 
-    CSV rows: session_id, dim, v0, v1, ...; several rows per session are
-    treated as frames and averaged. JSON-lines objects: {"session_id",
-    "dim", "values"} where values is one vector or a list of frame
-    vectors.
+    CSV rows: session_id, dim, v0, v1, ... JSON-lines objects:
+    {"session_id", "dim", "values"} where values is one vector or a list
+    of frame vectors. Every record must declare expected_dim; a session's
+    frames, over all its records, are averaged.
     """
     path = str(path)
     grouped: dict = {}
-    if path.endswith((".jsonl", ".json")):
-        with open(path) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise InputError(f"line {lineno}: bad JSON: {exc}")
-                sid = str(obj["session_id"])
-                dim = int(obj["dim"])
-                if dim != expected_dim:
-                    raise InputError(f"session {sid}: declared dim {dim}, "
-                                     f"expected {expected_dim}")
-                vals = obj["values"]
-                rows = vals if vals and isinstance(vals[0], list) else [vals]
-                grouped.setdefault(sid, []).extend(rows)
-    else:
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), 1):
-                if not row:
-                    continue
-                if lineno == 1 and not _is_number(row[1] if len(row) > 1 else ""):
-                    continue  # header
-                if len(row) < 3:
-                    raise InputError(f"line {lineno}: need session_id, dim, "
-                                     f"values...")
-                sid, dim_s, *vals = row
-                dim = int(dim_s)
-                if dim != expected_dim:
-                    raise InputError(f"session {sid}: declared dim {dim}, "
-                                     f"expected {expected_dim}")
-                grouped.setdefault(sid, []).append([float(v) for v in vals])
+    for lineno, sid, dim, frames in _embedding_records(path):
+        if dim != expected_dim:
+            raise InputError(f"{path} line {lineno}: session {sid}: declared "
+                             f"dim {dim:g}, expected {expected_dim}")
+        grouped.setdefault(sid, []).extend(frames)
     if not grouped:
         raise InputError(f"no embeddings found in {path}")
-    return {sid: _pool_rows(sid, rows, expected_dim)
+    width = max(3, len(str(expected_dim - 1)))
+    names = [f"emb_{i:0{width}d}" for i in range(expected_dim)]
+    return {sid: _pool_rows(f"{path}: session {sid}", rows, names)
             for sid, rows in grouped.items()}
-
-
-def _is_number(s: str) -> bool:
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
 
 
 def write_feature_csv(path, vectors: dict, names=None) -> None:
@@ -748,13 +735,20 @@ def write_feature_csv(path, vectors: dict, names=None) -> None:
 
 
 def read_feature_csv(path) -> tuple[list[str], dict]:
-    """Inverse of write_feature_csv: (names, session_id -> {name: value})."""
+    """Inverse of write_feature_csv: (names, session_id -> {name: value}).
+
+    Cells follow the manifest's rule (corpus._parse_float): an empty cell
+    is absent, and a cell that is not a finite number is an InputError
+    naming the line and the column, as are a repeated column or session."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "session_id":
             raise InputError(f"{path}: first column must be session_id")
         names = header[1:]
+        if len(set(names)) < len(names):
+            raise InputError(f"{path}: duplicate column "
+                             f"{next(n for n in names if names.count(n) > 1)!r}")
         rows: dict = {}
         for lineno, row in enumerate(reader, 2):
             if not row:
@@ -766,5 +760,15 @@ def read_feature_csv(path) -> tuple[list[str], dict]:
             if sid in rows:
                 raise InputError(f"{path} line {lineno}: duplicate session "
                                  f"{sid}")
-            rows[sid] = {n: float(v) for n, v in zip(names, row[1:]) if v != ""}
+            try:  # the common case in one pass; the cell rule finds the fault
+                cells = {n: float(v) for n, v in zip(names, row[1:]) if v != ""}
+                if not math.isfinite(sum(cells.values())):
+                    raise ValueError
+            except ValueError:
+                try:
+                    cells = {n: x for n, v in zip(names, row[1:]) if
+                             (x := _parse_float(v, n, lineno)) is not None}
+                except ParseError as exc:
+                    raise InputError(f"{path} {exc}") from None
+            rows[sid] = cells
     return names, rows

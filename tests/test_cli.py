@@ -880,6 +880,155 @@ def test_report_malformed_cv_is_config_error(tmp_path, capsys, text):
                          "--out-dir", str(tmp_path / "report")], capsys)
 
 
+# Every malformed input of embed-import, of the feature table and of the
+# cv/holdout result files, as (command, fault) cases. Each must exit 3 or 4
+# with a stderr line naming the bad file (or flag), no traceback and no
+# output written.
+EMBED_FAULTS = {
+    "jsonl-no-dim": ('{"session_id": "s1", "values": [1.0, 2.0]}', ".jsonl"),
+    "jsonl-text-dim": ('{"session_id": "s1", "dim": "two", '
+                       '"values": [1.0, 2.0]}', ".jsonl"),
+    "jsonl-text-value": ('{"session_id": "s1", "dim": 2, '
+                         '"values": [1.0, "x"]}', ".jsonl"),
+    "jsonl-list-line": ("[1.0, 2.0]", ".jsonl"),
+    "csv-no-dim": ("session_id,dim,v0,v1\ns1", ".csv"),
+    "csv-text-dim": ("session_id,dim,v0,v1\ns1,two,1.0,2.0", ".csv"),
+    "csv-text-value": ("session_id,dim,v0,v1\ns1,2,1.0,x", ".csv"),
+    "dim-zero": ('{"session_id": "s1", "dim": 2, "values": [1.0, 2.0]}',
+                 ".jsonl", "0"),
+    "dim-negative": ("session_id,dim,v0,v1\ns1,2,1.0,2.0", ".csv", "-1"),
+}
+TABLE_FAULTS = ("text-cell", "nan-cell", "inf-cell", "duplicate-column")
+
+
+def _target(level=3, name="cerad_total", kind="regression"):
+    return {"level": level, "name": name, "kind": kind}
+
+
+def _holdout_result(**change):
+    return {"target": _target(), "metrics": {"r": 0.5, "r2": 0.1},
+            "input_test_label": "ALL", "feature_set_label": "EG_ALL",
+            **change}
+
+
+# (file kind, payload edit): each read by report; the cv reports also by
+# holdout and importance through --config-from
+RESULT_FAULTS = {
+    "cv-level-text": ("cv", {"target": _target(level="2")}),
+    "cv-level-four": ("cv", {"target": _target(level=4)}),
+    "cv-level-float": ("cv", {"target": _target(level=3.0)}),
+    "cv-name-number": ("cv", {"target": _target(name=7)}),
+    "cv-kind-unknown": ("cv", {"target": _target(kind="ranking")}),
+    "cv-no-target": ("cv", {"target": None}),
+    "cv-mean-text": ("cv", {"summary": {"r": {"mean": "0.9", "sd": 0.1}}}),
+    "cv-sd-bool": ("cv", {"summary": {"r": {"mean": 0.9, "sd": True}}}),
+    "cv-no-metric": ("cv", {"summary": {"balanced_accuracy": {
+        "mean": 0.9, "sd": 0.1}}}),
+    "cv-label-list": ("cv", {"feature_set_label": ["EG_ALL"]}),
+    "cv-voted-config-text": ("cv", {"majority_vote_config_params": "ridge"}),
+    "cv-voted-config-lam-text": ("cv", {"majority_vote_config_params": {
+        "estimator": "ridge", "lam": "x", "pca": "passthrough"}}),
+    "holdout-metric-text": ("holdout", _holdout_result(metrics={"r": "0.5"})),
+    "holdout-level-text": ("holdout", _holdout_result(
+        target=_target(level="3"))),
+    "holdout-no-metrics": ("holdout", _holdout_result(metrics=None)),
+    "holdout-label-number": ("holdout", _holdout_result(input_test_label=1)),
+}
+# holdout and importance read a cv report's labels and voted config;
+# report reads no voted config
+VOTED_CONFIG_FAULTS = ("cv-voted-config-text", "cv-voted-config-lam-text")
+CONFIG_FROM_FAULTS = ("cv-label-list", *VOTED_CONFIG_FAULTS)
+INPUT_FAULTS = (
+    [("embed-import", fault) for fault in EMBED_FAULTS]
+    + [(command, fault) for command in ("cv", "holdout", "importance")
+       for fault in TABLE_FAULTS]
+    + [(command, fault) for command in ("holdout", "importance")
+       for fault in CONFIG_FROM_FAULTS]
+    + [("report", fault) for fault in RESULT_FAULTS
+       if fault not in VOTED_CONFIG_FAULTS])
+
+
+def _bad_table(feature_csv: Path, fault: str, dest: Path) -> Path:
+    lines = feature_csv.read_text().splitlines()
+    header, first = lines[0].split(","), lines[1].split(",")
+    if fault == "duplicate-column":
+        header[2] = header[1]
+    else:
+        first[3] = {"text-cell": "abc", "nan-cell": "nan",
+                    "inf-cell": "inf"}[fault]
+    dest.write_text("\n".join([",".join(header), ",".join(first),
+                               *lines[2:]]) + "\n")
+    return dest
+
+
+@pytest.mark.parametrize("command,fault", INPUT_FAULTS,
+                         ids=[f"{c}-{f}" for c, f in INPUT_FAULTS])
+def test_malformed_input_exits_naming_its_file(command, fault, corpus,
+                                               feature_csv, cv_json, tmp_path,
+                                               capsys):
+    out = tmp_path / "out"
+    features, config_from = str(feature_csv), str(cv_json)
+    if command == "embed-import":
+        text, suffix, *dim = EMBED_FAULTS[fault]
+        bad = tmp_path / f"emb{suffix}"
+        bad.write_text(text + "\n")
+        named = "--dim" if dim else str(bad)
+        argv = ["embed-import", "--in", str(bad), "--dim", *(dim or ["2"]),
+                "--out", str(out / "emb.csv")]
+    elif fault in TABLE_FAULTS:
+        features = named = str(_bad_table(feature_csv, fault,
+                                          tmp_path / "features.csv"))
+    else:
+        kind, edit = RESULT_FAULTS[fault]
+        payload = json.loads(cv_json.read_text()) if kind == "cv" else {}
+        payload.update(edit)
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps(payload))
+        named = config_from = str(bad)
+        if command == "report":
+            argv = ["report", "--cv", str(cv_json),
+                    *([str(bad)] if kind == "cv" else ["--holdout", str(bad)]),
+                    "--out-dir", str(out)]
+    if command in ("cv", "holdout", "importance"):
+        argv = [command, "--features", features,
+                "--manifest", str(corpus["manifest"]), "--level", "3",
+                *{"cv": ["--target", "cerad_total", "--kind", "regression"],
+                  "holdout": ["--target", "cerad_total", "--kind",
+                              "regression", "--config-from", config_from],
+                  "importance": ["--target", "mci", "--kind", "classification",
+                                 "--config-from", config_from]}[command],
+                "--out", str(out / "result")]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (3, 4), err
+    assert "Traceback" not in err
+    assert any(named in line for line in err.splitlines()), err
+    assert not out.exists()
+
+
+def test_report_pairs_holdout_results_by_target_kind(cv_json, tmp_path):
+    # one target run both as a regression and as a classification: each
+    # cv report takes the holdout result of its own kind
+    reg = json.loads(cv_json.read_text())
+    cls = dict(reg, target={**reg["target"], "kind": "classification"},
+               summary={"balanced_accuracy": {"mean": 0.75, "sd": 0.05}})
+    files = []
+    for name, payload in (("cv_reg", reg), ("cv_cls", cls),
+                          ("ho_reg", _holdout_result(metrics={"r": 0.5})),
+                          ("ho_cls", _holdout_result(
+                              target=cls["target"],
+                              metrics={"balanced_accuracy": 0.625}))):
+        files.append(str(tmp_path / f"{name}.json"))
+        Path(files[-1]).write_text(json.dumps(payload))
+    outdir = tmp_path / "report"
+    assert main(["report", "--cv", *files[:2], "--holdout", *files[2:],
+                 "--out-dir", str(outdir)]) == 0
+    with open(outdir / "hierarchy_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(r[3], r[5]) for r in rows] == [("r", "0.500"),
+                                            ("balanced_accuracy", "0.625")]
+
+
 def test_unreadable_json_input_is_input_error(tmp_path, capsys):
     assert main(["report", "--cv", str(tmp_path / "missing.json"),
                  "--out-dir", str(tmp_path / "report")]) == 4

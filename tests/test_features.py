@@ -455,6 +455,38 @@ def test_embeddings_bad_json_line_number(tmp_path):
         load_embeddings(p, expected_dim=1)
 
 
+@pytest.mark.parametrize("name,text,line", [
+    ("emb.jsonl", '{"session_id": "s1", "values": [1.0]}', 1),
+    ("emb.jsonl", '{"session_id": "s1", "dim": 1, "values": [1.0]}\n[1.0]', 2),
+    ("emb.jsonl", '{"session_id": "s1", "dim": null, "values": [1.0]}', 1),
+    ("emb.csv", "session_id,dim,v0\ns1,one,1.0", 2),
+    ("emb.csv", "s1,1,1.0\ns1,1,x", 2),
+    ("emb.csv", "session_id,dim,v0\ns1", 2),
+], ids=["jsonl-no-dim", "jsonl-list-line", "jsonl-null-dim", "csv-text-dim",
+        "csv-text-value", "csv-no-dim"])
+def test_embedding_record_fault_names_file_and_line(tmp_path, name, text,
+                                                    line):
+    p = tmp_path / name
+    p.write_text(text + "\n")
+    with pytest.raises(InputError, match=rf"{name} line {line}: malformed"):
+        load_embeddings(p, expected_dim=1)
+
+
+def test_embeddings_frames_must_be_vectors(tmp_path):
+    p = tmp_path / "emb.jsonl"
+    p.write_text(json.dumps({"session_id": "s1", "dim": 2,
+                             "values": [[[1.0, 2.0]]]}) + "\n")
+    with pytest.raises(InputError, match="s1: got frames of shape"):
+        load_embeddings(p, expected_dim=2)
+
+
+def test_embeddings_csv_header_is_optional(tmp_path):
+    p = tmp_path / "emb.csv"
+    p.write_text("s1,2,1.0,2.0\ns1,2,3.0,4.0\n")
+    assert np.array_equal(load_embeddings(p, expected_dim=2)["s1"].array(),
+                          [2.0, 3.0])
+
+
 def test_embeddings_empty_file_rejected(tmp_path):
     p = tmp_path / "emb.csv"
     p.write_text("")
@@ -503,3 +535,28 @@ def test_feature_csv_read_errors(tmp_path):
         read_feature_csv(p)
     with pytest.raises(ValidationError):
         write_feature_csv(tmp_path / "empty.csv", {})
+
+
+def test_feature_csv_duplicate_column_rejected(tmp_path):
+    p = tmp_path / "features.csv"
+    p.write_text("session_id,a,a\ns1,1.0,2.0\n")
+    with pytest.raises(InputError, match="duplicate column 'a'"):
+        read_feature_csv(p)
+
+
+@pytest.mark.parametrize("cell,wording", [("abc", "not a number: 'abc'"),
+                                          ("nan", "non-finite"),
+                                          ("-inf", "non-finite")])
+def test_feature_csv_cell_must_be_a_finite_number(tmp_path, cell, wording):
+    p = tmp_path / "features.csv"
+    p.write_text(f"session_id,a,b\ns1,1.0,2.0\ns2,3.0,{cell}\n")
+    with pytest.raises(InputError, match=rf"line 3: column 'b': {wording}"):
+        read_feature_csv(p)
+
+
+def test_feature_csv_cells_follow_the_manifest_rule(tmp_path):
+    # a blank cell is absent; finite cells whose sum overflows are kept
+    p = tmp_path / "features.csv"
+    p.write_text("session_id,a,b\ns1, ,2.5\ns2,1e308,1e308\n")
+    assert read_feature_csv(p)[1] == {"s1": {"b": 2.5},
+                                      "s2": {"a": 1e308, "b": 1e308}}
