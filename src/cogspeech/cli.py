@@ -445,7 +445,8 @@ def _dataset(args, *splits):
     """The target that --level/--target/--kind name, then one Dataset per
     split: the --manifest sessions of that split with a complete row in
     the --features table and a label for the target. The manifest's
-    label-hierarchy issues are printed once."""
+    label-hierarchy issues are printed once, and a warning for each split
+    whose kept sessions span more than one task or sample rate."""
     target = model.TargetSpec(level=args.level, name=args.target, kind=args.kind)
     manifest = corpus.load_manifest(args.manifest)
     _warn_hierarchy(manifest)
@@ -462,20 +463,24 @@ def _dataset(args, *splits):
             if y is None:
                 skipped.append(rec.session_id)
             else:
-                kept.append((rec.session_id, rec.subject_id,
-                             [feats[n] for n in names], y))
+                kept.append((rec, [feats[n] for n in names], y))
         if skipped:
             print(f"skipping {len(skipped)} session(s) without complete "
                   f"features/labels: {', '.join(sorted(skipped)[:5])}"
                   f"{'...' if len(skipped) > 5 else ''}", file=sys.stderr)
         if not kept:
             raise InputError(f"no usable sessions in split {split!r}")
-        kept.sort(key=lambda t: t[0])
+        for field, what in (("task", "tasks"), ("sample_rate", "sample rates")):
+            values = sorted({getattr(rec, field) for rec, _, _ in kept})
+            if len(values) > 1:
+                print(f"warning: split {split!r} pools {len(values)} {what}: "
+                      f"{', '.join(map(str, values))}", file=sys.stderr)
+        kept.sort(key=lambda t: t[0].session_id)
         datasets.append(model.Dataset(
-            X=np.array([k[2] for k in kept]),
-            y=np.array([k[3] for k in kept]),
-            subject_ids=tuple(k[1] for k in kept),
-            session_ids=tuple(k[0] for k in kept),
+            X=np.array([k[1] for k in kept]),
+            y=np.array([k[2] for k in kept]),
+            subject_ids=tuple(k[0].subject_id for k in kept),
+            session_ids=tuple(k[0].session_id for k in kept),
             feature_names=tuple(names),
         ))
     return (target, *datasets)
@@ -599,12 +604,16 @@ def _cmd_report(args) -> int:
                 p["target"]["name"], p.get("feature_set_label") or "",
                 _METRIC[p["target"]["kind"]])
 
-    holdouts = {key(p): p["metrics"][key(p)[-1]] for p in (
-        _read_result(path, "holdout result", "metrics")
-        for path in args.holdout or [])}
+    results = [(path, _read_result(path, "holdout result", "metrics"))
+               for path in args.holdout or []]
+    holdouts = {key(p): p["metrics"][key(p)[-1]] for _, p in results}
+    reports = [_read_result(path, "cv report", "summary") for path in args.cv]
     rows = [(*key(p), p["summary"][key(p)[-1]], holdouts.get(key(p)))
-            for p in (_read_result(path, "cv report", "summary")
-                      for path in args.cv)]
+            for p in reports]
+    for path, p in results:
+        if key(p) not in map(key, reports):
+            print(f"warning: holdout result {path} pairs with no cv report "
+                  f"and is not reported", file=sys.stderr)
     outdir = Path(args.out_dir)
     header = ("Level-Target", "Input Test", "Feature", "Metric", "DEV Set",
               "HO Set")

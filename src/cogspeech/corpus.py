@@ -290,15 +290,30 @@ def load_rttm(path) -> Timeline:
     return parse_rttm(_read_text(path))
 
 
-def _read_text(path) -> str:
-    """The file as UTF-8 text; ParseError at the line of the first byte
-    that does not decode."""
-    data = Path(path).read_bytes()
+def _decode(data: bytes, path, lineno: int = 1, offset: int = 0) -> str:
+    """data, which starts at line lineno and byte offset of path, as UTF-8
+    text; ParseError at the line of the first byte that does not decode."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}",
-                         data.count(b"\n", 0, exc.start) + 1) from None
+        raise ParseError(f"{path}: not UTF-8 text: {exc.reason} at byte "
+                         f"{offset + exc.start}",
+                         lineno + data.count(b"\n", 0, exc.start)) from None
+
+
+def _read_text(path) -> str:
+    """The file as UTF-8 text (see _decode)."""
+    return _decode(Path(path).read_bytes(), path)
+
+
+def _read_lines(path):
+    """The file's lines as UTF-8 text, decoded one line at a time so that
+    only one line is held (see _decode)."""
+    with open(path, "rb") as fh:
+        offset = 0
+        for lineno, raw in enumerate(fh, 1):
+            yield _decode(raw, path, lineno, offset)
+            offset += len(raw)
 
 
 def _parse_float(value: str, column: str, lineno: int) -> float | None:

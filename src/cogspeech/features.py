@@ -36,12 +36,13 @@ import csv
 import functools
 import json
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsp import Signal, _blocks, _frame_levels, _frame_signal, _runs
-from .corpus import _parse_float
+from .corpus import _parse_float, _read_lines
 from .errors import InputError, ParseError, ValidationError
 
 FRAME_S = 0.025
@@ -647,38 +648,23 @@ def extract_feature_sets(prosody: Signal | None, concat: Signal | None
 # ---------------------------------------------------------------------------
 # Embedding ingestion and feature table I/O
 
-def _pool_rows(where: str, rows: list, names: list) -> FeatureVector:
-    """The mean of one session's frames, one value per name; where names the
-    session in errors."""
-    try:
-        mat = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: frames are not vectors of numbers: {exc}")
-    if mat.ndim != 2 or mat.shape[1] != len(names):
-        raise InputError(f"{where}: got frames of shape {mat.shape[1:]}, "
-                         f"expected ({len(names)},)")
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        frame, dim = bad[0]
-        raise InputError(f"{where}: non-finite value at frame {frame}, "
-                         f"dimension {dim}")
-    return FeatureVector("EMBEDDING", dict(zip(names, mat.mean(axis=0).tolist())))
-
-
 def _embedding_records(path: str):
-    """(line, session_id, declared dim, frames) of each record of an
-    embedding dump: a JSON-lines object or a CSV row. A CSV line 1 whose
-    dim cell is not a number is a header. A record that does not parse is
-    an InputError naming the file and the line."""
+    """(line, session_id, declared dim, float64 frame array) of each
+    record of an embedding dump: a JSON-lines object or a CSV row, decoded
+    one line at a time (corpus._read_lines). A CSV line 1 whose dim cell
+    is not a number is a header. A record that does not parse, a value
+    that is not a number included, is an InputError naming the file and
+    the line."""
     jsonl = path.endswith((".jsonl", ".json"))
-    with open(path, newline="") as fh:
-        for lineno, item in enumerate(fh if jsonl else csv.reader(fh), 1):
+    with closing(_read_lines(path)) as lines:
+        for lineno, item in enumerate(lines if jsonl else csv.reader(lines), 1):
             try:
                 if jsonl and item.strip():
                     obj = json.loads(item)
                     vals = obj["values"]
+                    frames = vals if vals and isinstance(vals[0], list) else [vals]
                     yield (lineno, str(obj["session_id"]), float(obj["dim"]),
-                           vals if vals and isinstance(vals[0], list) else [vals])
+                           np.array(frames, dtype=np.float64))
                 elif item and not jsonl:
                     sid, dim, *vals = item
                     try:
@@ -687,7 +673,7 @@ def _embedding_records(path: str):
                         if lineno == 1:
                             continue  # the header
                         raise
-                    yield lineno, sid, dim, [[float(v) for v in vals]]
+                    yield lineno, sid, dim, np.array([[float(v) for v in vals]])
             except (KeyError, TypeError, ValueError) as exc:
                 raise InputError(f"{path} line {lineno}: malformed record: "
                                  f"{type(exc).__name__} {exc}") from None
@@ -701,20 +687,37 @@ def load_embeddings(path, expected_dim: int) -> dict:
     {"session_id", "dim", "values"} where values is one vector or a list
     of frame vectors. Every record must declare expected_dim; a session's
     frames, over all its records, are averaged.
+
+    The file is read once. Each record is checked as it is read, and its
+    frames are added in file order to its session's running float64 row
+    sum, which starts from zeros as np.mean's does; memory is one row per
+    session plus the record being parsed. Errors name the file, the line
+    and the session.
     """
     path = str(path)
-    grouped: dict = {}
+    pooled: dict = {}  # session_id -> [running row sum, frames so far]
     for lineno, sid, dim, frames in _embedding_records(path):
+        where = f"{path} line {lineno}: session {sid}"
         if dim != expected_dim:
-            raise InputError(f"{path} line {lineno}: session {sid}: declared "
-                             f"dim {dim:g}, expected {expected_dim}")
-        grouped.setdefault(sid, []).extend(frames)
-    if not grouped:
+            raise InputError(f"{where}: declared dim {dim:g}, expected "
+                             f"{expected_dim}")
+        if frames.ndim != 2 or frames.shape[1] != expected_dim:
+            raise InputError(f"{where}: got frames of shape {frames.shape[1:]}, "
+                             f"expected ({expected_dim},)")
+        acc = pooled.setdefault(sid, [np.zeros(expected_dim), 0])
+        bad = np.argwhere(~np.isfinite(frames))
+        if bad.size:
+            raise InputError(f"{where}: non-finite value at frame "
+                             f"{acc[1] + bad[0][0]}, dimension {bad[0][1]}")
+        for row in frames:
+            acc[0] += row
+        acc[1] += len(frames)
+    if not pooled:
         raise InputError(f"no embeddings found in {path}")
     width = max(3, len(str(expected_dim - 1)))
     names = [f"emb_{i:0{width}d}" for i in range(expected_dim)]
-    return {sid: _pool_rows(f"{path}: session {sid}", rows, names)
-            for sid, rows in grouped.items()}
+    return {sid: FeatureVector("EMBEDDING", dict(zip(names, (total / n).tolist())))
+            for sid, (total, n) in pooled.items()}
 
 
 def write_feature_csv(path, vectors: dict, names=None) -> None:
@@ -739,9 +742,10 @@ def read_feature_csv(path) -> tuple[list[str], dict]:
 
     Cells follow the manifest's rule (corpus._parse_float): an empty cell
     is absent, and a cell that is not a finite number is an InputError
-    naming the line and the column, as are a repeated column or session."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    naming the line and the column, as are a repeated column or session.
+    The file is decoded as UTF-8 one line at a time (corpus._read_lines)."""
+    with closing(_read_lines(path)) as lines:
+        reader = csv.reader(lines)
         header = next(reader, None)
         if not header or header[0] != "session_id":
             raise InputError(f"{path}: first column must be session_id")

@@ -6,6 +6,7 @@ so the whole pipeline can be rehearsed end to end with a known answer.
 """
 
 import csv
+import json
 from pathlib import Path
 
 import numpy as np
@@ -179,6 +180,38 @@ def build_corpus(root, n_subjects: int = 20, fs: int = 16000, seed: int = 0,
         writer.writeheader()
         writer.writerows(rows)
     return {"root": root, "manifest": manifest, "truth": truth}
+
+
+def write_embedding_dump(corpus: dict, path, dim: int = 768, k: int = 3,
+                         n_frames: int = 20, seed: int = 0) -> Path:
+    """Write a planted frame-level embedding dump for a build_corpus
+    corpus: JSON lines (one object per session) for a .jsonl path, else
+    CSV (a header, then one row per frame).
+
+    A subject's latent vector is its planted z followed by k - 1 nuisance
+    values drawn per subject. Each frame is that vector through one fixed
+    random dim x k projection plus unit Gaussian noise, so the pooled
+    embedding carries z and k - 1 directions unrelated to the scores.
+    Both formats write the same floats for the same arguments."""
+    path = Path(path)
+    rng = np.random.default_rng(seed)
+    projection = rng.standard_normal((dim, k))
+    with open(path, "w", newline="") as fh:
+        writer = None if path.suffix == ".jsonl" else csv.writer(fh)
+        if writer:
+            writer.writerow(["session_id", "dim", *(f"v{i}" for i in range(dim))])
+        for subject in sorted(corpus["truth"]):
+            truth = corpus["truth"][subject]
+            latent = np.concatenate([[truth["z"]], rng.standard_normal(k - 1)])
+            frames = (projection @ latent
+                      + rng.standard_normal((n_frames, dim))).tolist()
+            if writer:
+                writer.writerows([truth["session_id"], dim, *map(repr, f)]
+                                 for f in frames)
+            else:
+                fh.write(json.dumps({"session_id": truth["session_id"],
+                                     "dim": dim, "values": frames}) + "\n")
+    return path
 
 
 def planted_regression(n_subjects: int = 100, n_features: int = 12,

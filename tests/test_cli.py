@@ -644,6 +644,95 @@ def test_report_table(corpus, feature_csv, cv_json, tmp_path, capsys):
     assert "L3-cerad_total" in capsys.readouterr().out
 
 
+def test_report_warns_of_a_holdout_result_without_its_cv_report(
+        cv_json, tmp_path, capsys):
+    other = _holdout_result(target=_target(name="mmse"))
+    files = [tmp_path / "ho_cerad.json", tmp_path / "ho_mmse.json"]
+    files[0].write_text(json.dumps(_holdout_result()))
+    files[1].write_text(json.dumps(other))
+    outdir = tmp_path / "report"
+    assert main(["report", "--cv", str(cv_json), "--holdout", *map(str, files),
+                 "--out-dir", str(outdir)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if "warning" in line]
+    assert len(warnings) == 1 and str(files[1]) in warnings[0], warnings
+    with open(outdir / "hierarchy_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(r[0], r[5]) for r in rows] == [("L3-cerad_total", "0.500")]
+
+
+def test_split_spanning_tasks_or_rates_warns(corpus, feature_csv, tmp_path,
+                                            capsys):
+    manifest = tmp_path / "manifest.csv"
+    text = corpus["manifest"].read_text()
+    dev = [t["session_id"] for t in corpus["truth"].values()
+           if t["split"] == "development"]
+    lines = [line.replace(",MMSE,", ",RW,") if line.startswith(dev[0] + ",")
+             else line.replace(",16000,", ",8000,")
+             if line.startswith(dev[1] + ",") else line
+             for line in text.splitlines()]
+    manifest.write_text("\n".join(lines) + "\n")
+    argv = ["cv", "--features", str(feature_csv), "--level", "3",
+            "--target", "cerad_total", "--kind", "regression"]
+    capsys.readouterr()
+    assert main([*argv, "--manifest", str(corpus["manifest"]),
+                 "--out", str(tmp_path / "one" / "cv.json")]) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert main([*argv, "--manifest", str(manifest),
+                 "--out", str(tmp_path / "mixed" / "cv.json")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if "warning" in line]
+    assert warnings == [
+        "warning: split 'development' pools 2 tasks: MMSE, RW",
+        "warning: split 'development' pools 2 sample rates: 8000, 16000"]
+
+
+# ---------------------------------------------------------------------------
+# both arms: hand-crafted features and embeddings of one corpus
+
+def test_both_arms_run_every_modelling_stage(corpus, feature_csv, tmp_path,
+                                            capsys):
+    # the EG_ALL table and a planted 768-wide embedding table of the same
+    # corpus, through cv, holdout and importance on one fold seed, then
+    # into one report
+    dump = synth.write_embedding_dump(corpus, tmp_path / "frames.jsonl")
+    tables = {"EG_ALL": feature_csv, "EMBEDDING": tmp_path / "emb.csv"}
+    assert main(["embed-import", "--in", str(dump), "--dim", "768",
+                 "--out", str(tables["EMBEDDING"])]) == 0
+    cvs, holdouts = [], []
+    for label, table in tables.items():
+        out = tmp_path / label
+        common = ["--features", str(table), "--manifest",
+                  str(corpus["manifest"]), "--level", "3"]
+        regression = [*common, "--target", "cerad_total", "--kind",
+                      "regression"]
+        cvs.append(str(out / "cv.json"))
+        holdouts.append(str(out / "holdout.json"))
+        assert main(["cv", *regression, "--seed", "0", "--feature-set-label",
+                     label, "--out", cvs[-1]]) == 0
+        assert main(["holdout", *regression, "--config-from", cvs[-1],
+                     "--out", holdouts[-1]]) == 0
+        assert main(["importance", *common, "--target", "mci", "--kind",
+                     "classification", "--out", str(out / "imp.csv")]) == 0
+        names, _ = read_feature_csv(table)
+        with open(out / "imp.csv", newline="") as fh:
+            assert sorted(r["feature"] for r in csv.DictReader(fh)) == \
+                sorted(names)
+    reports = [json.loads(Path(p).read_text()) for p in cvs]
+    assert reports[0]["n_sessions"] == reports[1]["n_sessions"] == 9
+    # the embedding arm carries the planted latent to the held-out subjects
+    assert json.loads(Path(holdouts[1]).read_text())["metrics"]["r"] > 0.9
+    outdir = tmp_path / "report"
+    assert main(["report", "--cv", *cvs, "--holdout", *holdouts,
+                 "--out-dir", str(outdir)]) == 0
+    assert "warning" not in capsys.readouterr().err
+    with open(outdir / "hierarchy_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(r[0], r[2]) for r in rows] == [("L3-cerad_total", "EG_ALL"),
+                                            ("L3-cerad_total", "EMBEDDING")]
+    assert all(r[5] != "" for r in rows)
+
+
 # ---------------------------------------------------------------------------
 # run manifests
 
@@ -897,8 +986,13 @@ EMBED_FAULTS = {
     "dim-zero": ('{"session_id": "s1", "dim": 2, "values": [1.0, 2.0]}',
                  ".jsonl", "0"),
     "dim-negative": ("session_id,dim,v0,v1\ns1,2,1.0,2.0", ".csv", "-1"),
+    "jsonl-not-utf8": (b'{"session_id": "s1", "dim": 2, "values": [1.0, 2.0]}'
+                       b'\n{"session_id": "s\xff2", "dim": 2, '
+                       b'"values": [1.0, 2.0]}', ".jsonl"),
+    "csv-not-utf8": (b"session_id,dim,v0,v1\ns1,2,1.0,\xff2.0", ".csv"),
 }
-TABLE_FAULTS = ("text-cell", "nan-cell", "inf-cell", "duplicate-column")
+TABLE_FAULTS = ("text-cell", "nan-cell", "inf-cell", "duplicate-column",
+                "not-utf8")
 
 
 def _target(level=3, name="cerad_total", kind="regression"):
@@ -951,6 +1045,9 @@ INPUT_FAULTS = (
 def _bad_table(feature_csv: Path, fault: str, dest: Path) -> Path:
     lines = feature_csv.read_text().splitlines()
     header, first = lines[0].split(","), lines[1].split(",")
+    if fault == "not-utf8":
+        dest.write_bytes(feature_csv.read_bytes().replace(b"\n", b"\n\xff", 1))
+        return dest
     if fault == "duplicate-column":
         header[2] = header[1]
     else:
@@ -971,7 +1068,8 @@ def test_malformed_input_exits_naming_its_file(command, fault, corpus,
     if command == "embed-import":
         text, suffix, *dim = EMBED_FAULTS[fault]
         bad = tmp_path / f"emb{suffix}"
-        bad.write_text(text + "\n")
+        bad.write_bytes((text if isinstance(text, bytes) else text.encode())
+                        + b"\n")
         named = "--dim" if dim else str(bad)
         argv = ["embed-import", "--in", str(bad), "--dim", *(dim or ["2"]),
                 "--out", str(out / "emb.csv")]

@@ -3,6 +3,7 @@ functionals, feature-set assembly, embedding ingestion."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import oracles
 import synth
 from synth import make_sine
 from cogspeech.dsp import Signal
-from cogspeech.errors import InputError, ValidationError
+from cogspeech.errors import InputError, ParseError, ValidationError
 from cogspeech.features import (
     EG_ALL_NAMES, EG_PROSODY_NAMES, EG_VQUAL_NAMES, FRAME_S, HOP_S,
     FeatureVector, LldContour, apply_functionals, extract_feature_sets,
@@ -494,6 +495,100 @@ def test_embeddings_empty_file_rejected(tmp_path):
         load_embeddings(p, expected_dim=2)
 
 
+def test_embeddings_non_finite_frame_counts_the_session_so_far(tmp_path):
+    p = tmp_path / "emb.jsonl"
+    p.write_text("".join(json.dumps({"session_id": sid, "dim": 2,
+                                     "values": values}) + "\n"
+                         for sid, values in (
+                             ("s1", [[1.0, 2.0], [3.0, 4.0]]),
+                             ("s2", [5.0, 6.0]),
+                             ("s1", [[5.0, 6.0], [7.0, float("inf")]]))))
+    with pytest.raises(InputError, match=r"emb.jsonl line 3: session s1: "
+                       r"non-finite value at frame 3, dimension 1"):
+        load_embeddings(p, expected_dim=2)
+
+
+@pytest.mark.parametrize("name,data,line", [
+    ("emb.jsonl", b'{"session_id": "s1", "dim": 1, "values": [1.0]}\n'
+                  b'{"session_id": "s\xff", "dim": 1, "values": [1.0]}\n', 2),
+    ("emb.csv", b"session_id,dim,v0\ns1,1,1.0\ns1,1,\xff\n", 3),
+], ids=["jsonl", "csv"])
+def test_embedding_dump_not_utf8_names_its_line(tmp_path, name, data, line):
+    p = tmp_path / name
+    p.write_bytes(data)
+    at = data.index(b"\xff")
+    with pytest.raises(ParseError, match=rf"line {line}: .*{name}: not UTF-8 "
+                       rf"text: .* at byte {at}$"):
+        load_embeddings(p, expected_dim=1)
+
+
+def test_running_row_sum_is_bitwise_numpy_mean(tmp_path):
+    # load_embeddings pools a session by adding its frames, in file order,
+    # to a float64 row sum that starts from zeros, then dividing by the
+    # frame count. That is bitwise np.mean(axis=0), and so embed-import
+    # writes the bytes of a whole-matrix mean, only while numpy's axis-0
+    # reduction of a C-ordered table adds its rows in order, starting from
+    # 0.0: a -0.0 column pools to 0.0, where a sum started from the first
+    # row would keep -0.0. (A one-column table is summed pairwise by
+    # numpy, so at dim 1 the bits can differ past 8 frames.)
+    rng = np.random.default_rng(0)
+    tables = [rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-4, 4, (n, d))
+              for n, d in ((1, 768), (2, 2), (7, 3), (9, 5), (200, 768),
+                           (1000, 16), (5000, 2))]
+    tables += [rng.standard_normal((int(rng.integers(1, 60)),
+                                    int(rng.integers(2, 40))))
+               for _ in range(40)]
+    with_negative_zero = rng.standard_normal((6, 4))
+    with_negative_zero[:, 1] = -0.0
+    tables += [with_negative_zero, np.full((1, 3), -0.0)]
+    for k, table in enumerate(tables):
+        total = np.zeros(table.shape[1])
+        for row in table:
+            total += row
+        mean = table.mean(axis=0)
+        assert np.array_equal((total / len(table)).view(np.uint64),
+                              mean.view(np.uint64)), k
+        # through the reader, in records of one to three frames
+        p = tmp_path / f"emb{k}.jsonl"
+        cuts = np.cumsum(rng.integers(1, 4, len(table)))
+        with open(p, "w") as fh:
+            for part in np.split(table, cuts[cuts < len(table)]):
+                fh.write(json.dumps({"session_id": "s", "dim": table.shape[1],
+                                     "values": part.tolist()}) + "\n")
+        pooled = load_embeddings(p, expected_dim=table.shape[1])["s"].array()
+        assert np.array_equal(pooled.view(np.uint64), mean.view(np.uint64)), k
+    assert not np.signbit(with_negative_zero.mean(axis=0)[1])
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".csv"])
+def test_embedding_memory_follows_sessions_not_frames(tmp_path, suffix):
+    # 20 frames x 768 per session. The pooled result holds about 0.05 MiB
+    # a session (768 floats in a dict); a reader that keeps every frame
+    # until the file ends grows by about 0.53 MiB a session.
+    rng = np.random.default_rng(0)
+
+    def peak_mib(n_sessions):
+        p = tmp_path / f"emb{n_sessions}{suffix}"
+        with open(p, "w") as fh:
+            for s in range(n_sessions):
+                frames = np.round(rng.standard_normal((20, 768)), 2).tolist()
+                if suffix == ".jsonl":
+                    fh.write(json.dumps({"session_id": f"s{s}", "dim": 768,
+                                         "values": frames}) + "\n")
+                else:
+                    fh.writelines(f"s{s},768,{','.join(map(repr, f))}\n"
+                                  for f in frames)
+        tracemalloc.start()
+        try:
+            load_embeddings(p, expected_dim=768)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    per_session = (peak_mib(80) - peak_mib(20)) / 60
+    assert per_session < 0.1, f"{per_session:.3f} MiB per session"
+
+
 # ---------------------------------------------------------------------------
 # Feature table round trip
 
@@ -551,6 +646,16 @@ def test_feature_csv_cell_must_be_a_finite_number(tmp_path, cell, wording):
     p = tmp_path / "features.csv"
     p.write_text(f"session_id,a,b\ns1,1.0,2.0\ns2,3.0,{cell}\n")
     with pytest.raises(InputError, match=rf"line 3: column 'b': {wording}"):
+        read_feature_csv(p)
+
+
+def test_feature_csv_not_utf8_names_its_line(tmp_path):
+    p = tmp_path / "features.csv"
+    data = b"session_id,a\ns1,1.0\ns\xff2,2.0\n"
+    p.write_bytes(data)
+    at = data.index(b"\xff")
+    with pytest.raises(ParseError, match=rf"line 3: .*features.csv: not "
+                       rf"UTF-8 text: .* at byte {at}$"):
         read_feature_csv(p)
 
 
