@@ -3,7 +3,7 @@
 Submodules
 ----------
 corpus     session manifests, label hierarchy, RTTM timelines
-wavio      WAV reading (16/24-bit PCM, 32-bit float) and float32 writing
+wavio      WAV reading (16/24/32-bit PCM, 32/64-bit float) and float32 writing
 dsp        high-pass filtering, spectral gating, loudness normalization
 qc         acoustic quality gate (duration / RMS / clipping / SNR)
 diar_eval  diarization metrics (DER, JER, purity, coverage) and grid search

@@ -606,7 +606,13 @@ def _cmd_report(args) -> int:
 
     results = [(path, _read_result(path, "holdout result", "metrics"))
                for path in args.holdout or []]
-    holdouts = {key(p): p["metrics"][key(p)[-1]] for _, p in results}
+    holdouts, sources = {}, {}
+    for path, p in results:
+        k = key(p)
+        if k in sources:
+            print(f"warning: holdout results {sources[k]} and {path} score "
+                  f"the same target; only {path} is reported", file=sys.stderr)
+        sources[k], holdouts[k] = path, p["metrics"][k[-1]]
     reports = [_read_result(path, "cv report", "summary") for path in args.cv]
     rows = [(*key(p), p["summary"][key(p)[-1]], holdouts.get(key(p)))
             for p in reports]

@@ -881,7 +881,8 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
     Scaler and PCA fits happen inside each inner/outer training set only.
     Inner config-fold pairs that cannot be scored (single-class inner
     training data) are excluded from that config's mean with a warning;
-    every SVM fit that stops at max_iter gets a warning too.
+    every SVM fit that stops at max_iter gets a warning too, and so does
+    every outer fold whose test metric is NaN.
 
     The inner splits are cut into min(jobs, splits) contiguous chunks,
     each fitted by one _fitter call on the executor; then every fold's
@@ -992,6 +993,11 @@ def nested_cv(data: Dataset, target: TargetSpec, grid=None,
              for f, ((_, metrics, _),) in enumerate(refits)]
     fit_log = [record for record, _, _ in units]
     notes = [note for _, _, note in units if note is not None]
+    for f in folds:  # e.g. Pearson r on a one-subject test fold
+        nan = [k for k, v in f.test_metrics.items() if np.isnan(v)]
+        if nan:
+            notes.append(f"outer fold {f.fold}: nan test {'/'.join(nan)} "
+                         f"on {len(plan.outer[f.fold])} test subject(s)")
 
     summary = {}
     for key in folds[0].test_metrics:

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import io
 import json
 import shutil
 import subprocess
@@ -147,12 +148,40 @@ def read_failures(outdir: Path) -> list:
             (outdir / "failures.jsonl").read_text().splitlines()]
 
 
-def test_corrupt_wav_fails_its_session_not_the_batch(small_corpus, tmp_path):
+def _alaw(wav: bytes) -> bytes:  # the fmt chunk's format tag set to A-law (6)
+    return wav[:20] + b"\x06\x00" + wav[22:]
+
+
+def _pcm8(wav: bytes) -> bytes:  # 8-bit PCM, as scipy writes uint8
+    from scipy.io import wavfile
+    out = io.BytesIO()
+    wavfile.write(out, 16000, np.full(1600, 128, dtype=np.uint8))
+    return out.getvalue()
+
+
+# each WAV fault: (how it turns the session's float32 WAV into the bad
+# file, what the failure record says)
+WAV_FAULTS = {
+    "garbage": (lambda wav: b"not a wav file" * 100, "cannot decode"),
+    "cut_in_riff_header": (lambda wav: wav[:10], "RIFF header cut short"),
+    "cut_in_fmt": (lambda wav: wav[:30], "fmt chunk cut short"),
+    "no_data_chunk": (lambda wav: wav[:50], "no data chunk"),
+    "data_past_eof": (lambda wav: wav[:len(wav) // 2], "runs past the end"),
+    "unknown_format": (_alaw, "Unknown wave file format"),
+    "pcm_8bit": (_pcm8, "8-bit PCM is not supported"),
+}
+
+
+@pytest.mark.parametrize("fault", WAV_FAULTS)
+def test_corrupt_wav_fails_its_session_not_the_batch(small_corpus, tmp_path,
+                                                     fault):
     sids = session_ids(small_corpus)
     bad = sids[2]
     corrupt = tmp_path / "corpus"
     shutil.copytree(small_corpus["root"], corrupt)
-    (corrupt / "audio" / f"{bad}.wav").write_bytes(b"not a wav file" * 100)
+    wav = corrupt / "audio" / f"{bad}.wav"
+    spoil, says = WAV_FAULTS[fault]
+    wav.write_bytes(spoil(wav.read_bytes()))
     manifest = str(corrupt / "manifest.csv")
     good = [s for s in sids if s != bad]
 
@@ -163,7 +192,7 @@ def test_corrupt_wav_fails_its_session_not_the_batch(small_corpus, tmp_path):
     assert [l["session_id"] for l in lines] == good
     [failure] = read_failures(tmp_path / "qc")
     assert failure["session_id"] == bad and failure["stage"] == "qc"
-    assert "cannot decode" in failure["message"]
+    assert says in failure["message"] and str(wav) in failure["message"]
 
     pre, streams = tmp_path / "pre", tmp_path / "streams"
     assert main(["preprocess", "--manifest", manifest,
@@ -659,6 +688,23 @@ def test_report_warns_of_a_holdout_result_without_its_cv_report(
     with open(outdir / "hierarchy_table.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [(r[0], r[5]) for r in rows] == [("L3-cerad_total", "0.500")]
+
+
+def test_report_warns_when_two_holdout_results_share_a_target(
+        cv_json, tmp_path, capsys):
+    files = [tmp_path / "ho_a.json", tmp_path / "ho_b.json"]
+    files[0].write_text(json.dumps(_holdout_result()))
+    files[1].write_text(json.dumps(_holdout_result(metrics={"r": 0.123})))
+    outdir = tmp_path / "report"
+    assert main(["report", "--cv", str(cv_json), "--holdout", *map(str, files),
+                 "--out-dir", str(outdir)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines()
+                if "warning" in line]
+    assert len(warnings) == 1, warnings
+    assert all(str(f) in warnings[0] for f in files), warnings
+    with open(outdir / "hierarchy_table.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert [(r[0], r[5]) for r in rows] == [("L3-cerad_total", "0.123")]
 
 
 def test_split_spanning_tasks_or_rates_warns(corpus, feature_csv, tmp_path,
@@ -1168,3 +1214,41 @@ def test_cli_help_leaves_heavy_scipy_subpackages_unloaded():
     loaded = _modules_loaded_by(code, ["scipy.signal", "scipy.optimize",
                                        "scipy.stats", "scipy.io"])
     assert not any(loaded.values()), loaded
+
+
+def _scipy_modules_after(code: str) -> list:
+    """The scipy modules loaded in a fresh interpreter after running code."""
+    probe = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
+             f"m for m in sys.modules if m.startswith('scipy'))))")
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_qc_streams_and_features_load_no_scipy(small_corpus, tmp_path):
+    # the WAV codec is numpy only; the audio stages other than
+    # preprocess use nothing else of scipy
+    root, out = small_corpus["root"], tmp_path
+    runs = [
+        ["qc", "--manifest", str(small_corpus["manifest"]),
+         "--out", str(out / "qc" / "qc.jsonl")],
+        ["streams", "--manifest", str(small_corpus["manifest"]),
+         "--wav-dir", str(root / "audio"), "--rttm-dir", str(root / "rttm"),
+         "--outdir", str(out / "streams")],
+        ["features", "--manifest", str(small_corpus["manifest"]),
+         "--prosody-dir", str(out / "streams"),
+         "--concat-dir", str(out / "streams"),
+         "--out", str(out / "features" / "features.csv")],
+    ]
+    code = "from cogspeech.cli import main\n" + "".join(
+        f"assert main({argv!r}) == 0\n" for argv in runs)
+    assert _scipy_modules_after(code) == []
+
+
+def test_preprocess_loads_scipy_signal_but_not_scipy_io(small_corpus, tmp_path):
+    code = ("from cogspeech.cli import main\n"
+            f"assert main(['preprocess', '--manifest', "
+            f"{str(small_corpus['manifest'])!r}, '--outdir', "
+            f"{str(tmp_path / 'pre')!r}]) == 0")
+    loaded = _modules_loaded_by(code, ["scipy.signal", "scipy.io"])
+    assert loaded == {"scipy.signal": True, "scipy.io": False}

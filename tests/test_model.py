@@ -897,6 +897,23 @@ def test_nested_cv_reports_unconverged_svm_fits(monkeypatch):
     assert report.to_dict()["warnings"] == list(report.warnings)
 
 
+def test_nested_cv_warns_of_an_outer_fold_with_a_nan_metric():
+    # 9 subjects deal outer folds of 2, 2, 2, 2 and 1; the one-subject
+    # fold's Pearson r is undefined, and so is the summary's mean
+    data = synth.planted_regression(9, seed=3)
+    report, _ = nested_cv(data, TargetSpec(3, "cerad_total", "regression"),
+                          seed=1)
+    sizes = [len(g) for g in make_fold_plan(data.subject_ids, seed=1).outer]
+    assert sorted(sizes) == [1, 2, 2, 2, 2]
+    assert np.isnan(report.summary["r"]["mean"])
+    nan_folds = [f.fold for f in report.folds
+                 if any(np.isnan(v) for v in f.test_metrics.values())]
+    assert nan_folds and len(report.warnings) == len(nan_folds)
+    for fold, note in zip(nan_folds, report.warnings):
+        assert note.startswith(f"outer fold {fold}: nan test r")
+        assert note.endswith(f" on {sizes[fold]} test subject(s)")
+
+
 def test_nested_cv_jobs_do_not_change_report():
     for data, target in (
             (synth.planted_regression(40, seed=5),
