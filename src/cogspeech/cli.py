@@ -354,7 +354,11 @@ def _cmd_features(args) -> int:
         if prosody is None and concat is None:
             raise InputError(f"no streams found for {session_id} under "
                              f"{prosody_dir} / {concat_dir}")
-        trio = features.extract_feature_sets(prosody, concat)
+        # both streams are read, so the same sessions fail whatever the
+        # set, but only the one the set reads is analysed
+        trio = features.extract_feature_sets(
+            None if args.set == "EG_VQUAL" else prosody,
+            None if args.set == "EG_PROSODY" else concat)
         by_tag = {v.set_tag: v for v in trio}
         return session_id, by_tag[args.set]
 

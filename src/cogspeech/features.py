@@ -28,6 +28,17 @@ F0 and HNR share one autocorrelation pass per stream (``_acf_pass``):
 each frame's normalized ACF at the 40 ms F0 window is taken once, and
 only for frames above the energy floor, which can be neither voiced nor
 carry an HNR; F0 and the HNR peak near it are read from the same rows.
+
+Formants are fitted at one analysis rate, ANALYSIS_FS = 11 kHz, at LPC
+order 10, whatever the input rate, as Praat's "Sound: To Formant
+(burg)" does: 11 kHz is twice the highest formant sought (5.5 kHz) and
+order 10 is two coefficients for each of the five formants below it.
+Only F1 and F2 are read, so an order that followed the input rate
+(fs // 1000 + 2, 50 at 48 kHz) paid for the eigenvalues of poles that
+nobody reads. A numpy polyphase resampler (``_resample``, the filter of
+scipy.signal.resample_poly, whose import the features stage does not
+pay) brings the stream to 11 kHz once, with no delay, so formant frames
+still line up with the F0 contour.
 """
 
 from __future__ import annotations
@@ -41,7 +52,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import Signal, _blocks, _frame_levels, _frame_signal, _runs
+from .dsp import (_BLOCK_SAMPLES, Signal, _blocks, _frame_levels,
+                  _frame_signal, _runs)
 from .corpus import _parse_float, _read_lines
 from .errors import InputError, ParseError, ValidationError
 
@@ -498,19 +510,95 @@ def _pick_formants(roots: np.ndarray, fs: int):
             (freqs[rows, p2], bws[rows, p2], in_f2.any(axis=1)))
 
 
+# formant analysis rate and LPC order (module docstring)
+ANALYSIS_FS = 11000
+FORMANT_ORDER = 10
+
+
+@functools.lru_cache(maxsize=8)
+def _polyphase(fs: int):
+    """(up, down, kinds) of the fs -> ANALYSIS_FS resampler, with the
+    filter of scipy.signal.resample_poly: a Kaiser(5.0)-windowed sinc cut
+    at the lower Nyquist rate, 10 zero crossings each side, DC gain up.
+
+    Output j is the filter centred on input j * down / up, so there is no
+    delay. Outputs come in periods of up, each reading down more inputs.
+    Each kind (first output c, first input lo, taps) is a run of p
+    consecutive outputs of every period, read as one (inputs x p) matrix
+    product; p is the largest divisor of up whose outputs span no more
+    inputs than one output's filter, so the taps stay near the filter's
+    size at any rate (11000 outputs per period at 44101 Hz).
+    """
+    g = math.gcd(ANALYSIS_FS, fs)
+    up, down = ANALYSIS_FS // g, fs // g
+    rate = max(up, down)
+    half = 10 * rate
+    h = np.sinc(np.arange(-half, half + 1) / rate) * np.kaiser(2 * half + 1, 5.0)
+    h *= up / h.sum()
+    width = 2 * half // up + 1
+    p = max(d for d in range(1, up + 1) if up % d == 0 and d * down <= width * up)
+    kinds = []
+    for c in range(0, up, p):
+        lo = -((half - c * down) // up)
+        hi = ((c + p - 1) * down + half) // up
+        k = half + np.arange(c, c + p) * down - np.arange(lo, hi + 1)[:, None] * up
+        inside = (k >= 0) & (k <= 2 * half)
+        taps = np.where(inside, h[np.where(inside, k, 0)], 0.0)
+        taps.flags.writeable = False  # shared by every caller at this rate
+        kinds.append((c, lo, taps))
+    return up, down, kinds
+
+
+def _resample(x: np.ndarray, fs: int) -> np.ndarray:
+    """x at fs resampled to ANALYSIS_FS: ceil(len(x) * ANALYSIS_FS / fs)
+    samples, output j at time j / ANALYSIS_FS. Periods go a block of about
+    dsp._BLOCK_SAMPLES inputs at a time, each block copied once with the
+    zeros beyond x's ends, so transient arrays have a fixed size."""
+    if fs == ANALYSIS_FS:
+        return x
+    up, down, kinds = _polyphase(fs)
+    n = len(x)
+    n_out = -(-n * up // down)
+    periods = -(-n_out // up)
+    out = np.empty((periods, up))
+    first = min(lo for _, lo, _ in kinds)
+    last = max(lo + len(taps) for _, lo, taps in kinds)
+    step = max(1, _BLOCK_SAMPLES // down)
+    for m0 in range(0, periods, step):
+        m1 = min(periods, m0 + step)
+        a, b = m0 * down + first, (m1 - 1) * down + last
+        seg = np.zeros(b - a)
+        i0, i1 = max(a, 0), min(b, n)
+        if i1 > i0:
+            seg[i0 - a:i1 - a] = x[i0:i1]
+        for c, lo, taps in kinds:
+            rows = _frame_signal(seg[lo - first:], len(taps), down)[:m1 - m0]
+            out[m0:m1, c:c + taps.shape[1]] = rows @ taps
+    return out.reshape(-1)[:n_out]
+
+
 def formant_bandwidths(x: Signal, f0c: LldContour, order: int | None = None,
                        frame_s: float = FRAME_S, hop_s: float = HOP_S
                        ) -> list[LldContour]:
     """F1/F2 center frequencies and bandwidths from LPC pole angles on
     voiced frames. Unstable frames are skipped (mask False).
 
+    The samples are first resampled to ANALYSIS_FS (11 kHz) and fitted
+    there at FORMANT_ORDER (10) unless order is given, whatever the input
+    rate: five formants fit below 5.5 kHz, and F1 (200-1000 Hz) and F2
+    (800-2800 Hz) are all that is read. So the cost per audio second no
+    longer grows with the input rate, as an order of fs // 1000 + 2 did.
+    Frames stay frame_s long every hop_s, so frame m still spans
+    [m hop_s, m hop_s + frame_s) and lines up with f0c.
+
     Voiced frames are fitted a block at a time: a batched Levinson-Durbin
     recursion, then one stacked companion-matrix eigenvalue call.
     """
-    fs = x.sample_rate
+    fs = ANALYSIS_FS
     if order is None:
-        order = fs // 1000 + 2
-    frames = _frame_signal(x.samples, round(frame_s * fs), round(hop_s * fs))
+        order = FORMANT_ORDER
+    samples = _resample(x.samples, x.sample_rate)
+    frames = _frame_signal(samples, round(frame_s * fs), round(hop_s * fs))
     nf = min(frames.shape[0], len(f0c))
     window = np.hamming(frames.shape[1])
     voiced = np.flatnonzero(f0c.voiced_mask[:nf])

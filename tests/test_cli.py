@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import synth
-from cogspeech import wavio
+from cogspeech import features, wavio
 from cogspeech.cli import main
 from cogspeech.features import EG_ALL_NAMES, read_feature_csv
 
@@ -340,6 +340,29 @@ def test_features_unknown_set_is_config_error(corpus, stream_dir, tmp_path):
                  "--concat-dir", str(stream_dir),
                  "--set", "EG_EVERYTHING", "--out", str(tmp_path / "f.csv")])
     assert code == 3
+
+
+@pytest.mark.parametrize("feature_set, unread", [
+    ("EG_PROSODY", "formant_bandwidths"),  # the concatenated stream's
+    ("EG_VQUAL", "_pause_stats"),          # the prosody stream's
+])
+def test_features_set_analyses_only_the_stream_it_reads(
+        corpus, stream_dir, feature_csv, tmp_path, monkeypatch, feature_set,
+        unread):
+    calls = []
+    real = getattr(features, unread)
+    monkeypatch.setattr(features, unread,
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    out = tmp_path / "features.csv"
+    assert main(["features", "--manifest", str(corpus["manifest"]),
+                 "--prosody-dir", str(stream_dir),
+                 "--concat-dir", str(stream_dir),
+                 "--set", feature_set, "--out", str(out), "--jobs", "1"]) == 0
+    assert calls == []
+    names, rows = read_feature_csv(out)
+    _, full = read_feature_csv(feature_csv)
+    assert rows == {sid: {n: cells[n] for n in names}
+                    for sid, cells in full.items()}
 
 
 # ---------------------------------------------------------------------------

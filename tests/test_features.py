@@ -4,14 +4,17 @@ functionals, feature-set assembly, embedding ingestion."""
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.signal import sawtooth
+from hypothesis import assume, given, settings, strategies as st
+from scipy.signal import resample_poly, sawtooth
 
 import oracles
 import synth
 from synth import make_sine
+from cogspeech import features
 from cogspeech.dsp import Signal
 from cogspeech.errors import InputError, ParseError, ValidationError
 from cogspeech.features import (
@@ -245,6 +248,52 @@ def test_white_noise_formants_mostly_skipped():
     contours = formant_bandwidths(x, track_f0(x))
     for c in contours:
         assert float(np.mean(c.voiced_mask)) <= 0.1
+
+
+INPUT_RATES = (8000, 16000, 22050, 44100, 48000)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fs=st.sampled_from(INPUT_RATES), n=st.integers(1, 30000),
+       seed=st.integers(0, 2 ** 16), block=st.sampled_from((1 << 16, 3000, 1)))
+def test_resampler_matches_resample_poly(fs, n, seed, block):
+    # block: inputs per resampled block, so block edges fall inside x
+    x = np.random.default_rng(seed).standard_normal(n)
+    g = math.gcd(features.ANALYSIS_FS, fs)
+    want = resample_poly(x, features.ANALYSIS_FS // g, fs // g)
+    with mock.patch.object(features, "_BLOCK_SAMPLES", block):
+        got = features._resample(x, fs)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(fs=st.sampled_from(INPUT_RATES), n=st.integers(0, 20000),
+       tail=st.integers(0, 2000))
+def test_resampled_click_lands_at_its_time(fs, n, tail):
+    # no delay: input sample n at n / fs lands on the nearest output sample
+    x = np.zeros(n + 1 + tail)
+    x[n] = 1.0
+    y = features._resample(x, fs)
+    j = round(n * features.ANALYSIS_FS / fs)
+    assume(j < len(y))
+    assert y[j] >= y.max() - 1e-12
+
+
+def test_formant_order_and_frames_do_not_follow_the_input_rate(monkeypatch):
+    # one 2 s vowel at four rates, every frame voiced: each rate fits the
+    # same frames at the same order (18, 24, 46 and 50 under fs // 1000 + 2)
+    seen = {}
+    real = features._poles
+    monkeypatch.setattr(features, "_poles",
+                        lambda a: seen[fs].append(a.shape) or real(a))
+    f0c = LldContour("f0", np.full(300, 120.0), np.ones(300, dtype=bool))
+    for fs in (16000, 22050, 44100, 48000):
+        seen[fs] = []
+        formant_bandwidths(Signal(synth.vowel(120.0, 2.0, fs), fs), f0c)
+    shapes = {fs: (sum(rows for rows, _ in s), {cols - 1 for _, cols in s})
+              for fs, s in seen.items()}
+    assert shapes == {fs: (198, {features.FORMANT_ORDER}) for fs in seen}
 
 
 # ---------------------------------------------------------------------------

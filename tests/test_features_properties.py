@@ -98,7 +98,10 @@ def test_formants_match_per_frame_oracle(x, block):
     f0c = track_f0(x)
     with mock.patch.object(dsp, "_BLOCK_FRAMES", block):
         contours = formant_bandwidths(x, f0c)
-    want = oracles.formants(x.samples, FS, f0c.voiced_mask)
+    # fitted on the stream resampled to the analysis rate, at its order
+    want = oracles.formants(features._resample(x.samples, FS),
+                            features.ANALYSIS_FS, f0c.voiced_mask,
+                            order=features.FORMANT_ORDER)
     for c in contours:
         assert_contour_matches(c, *want[c.name])
 
