@@ -22,11 +22,22 @@ session whose input cannot be read or processed becomes a failure record
 and _finish writes the records to failures.jsonl and returns the input
 error code. A clean run writes no failures.jsonl.
 
-cv, holdout and importance read their labelled table through _dataset,
-which, like qc, prints each label-hierarchy issue of the manifest
-(corpus.validate_hierarchy) to stderr as a warning. cv writes the log of
-its executed fits, the record the leakage check reads, to fit_log.jsonl
-next to its report: one sorted-key JSON line per fit.
+streams and features hold each stream's header rate to its manifest
+row's sample_rate, as qc and preprocess do the session's audio, and
+streams fails a session whose RTTM has a turn starting at or after the
+end of its WAV.
+
+cv, holdout and importance read their labelled table through _dataset.
+cv writes the log of its executed fits, the record the leakage check
+reads, to fit_log.jsonl next to its report: one sorted-key JSON line per
+fit.
+
+Every warning reaches the user through _warn: one stderr line of the
+form warning: <message>, which changes no output and no exit code. The
+library returns what it finds (corpus.validate_hierarchy's issues,
+CvReport.warnings, diar_eval.unreferenced_parameters, an empty
+importance ranking), and the subcommand that called it prints each
+finding once.
 """
 
 from __future__ import annotations
@@ -152,21 +163,14 @@ def _resolve(base: Path, p: str) -> str:
     return str(path if path.is_absolute() else base / path)
 
 
-def _read_signal(path) -> dsp.Signal:
+def _read_signal(path, rec: corpus.SessionRecord | None = None) -> dsp.Signal:
+    """The audio at path; given the manifest session it belongs to, its
+    header rate checked against the manifest's sample_rate."""
     samples, rate = wavio.read_wav(path)
-    return dsp.Signal(samples, rate)
-
-
-def _read_record_signal(base: Path, rec: corpus.SessionRecord) -> dsp.Signal:
-    """A manifest session's audio, its header rate checked against the
-    manifest's sample_rate."""
-    path = _resolve(base, rec.audio_path)
-    sig = _read_signal(path)
-    if sig.sample_rate != rec.sample_rate:
+    if rec is not None and rate != rec.sample_rate:
         raise InputError(f"session {rec.session_id}: manifest sample_rate "
-                         f"{rec.sample_rate} Hz, but {path} is "
-                         f"{sig.sample_rate} Hz")
-    return sig
+                         f"{rec.sample_rate} Hz, but {path} is {rate} Hz")
+    return dsp.Signal(samples, rate)
 
 
 def _map_sessions(args, fn, pairs):
@@ -192,12 +196,17 @@ def _map_sessions(args, fn, pairs):
             [failure for _, failure in outcomes if failure is not None])
 
 
+def _warn(message: str) -> None:
+    """Print one warning line to stderr: the one way a warning reaches
+    the user. It changes no output and no exit code."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def _warn_hierarchy(manifest: corpus.Manifest) -> None:
     """Print each label-hierarchy issue of the manifest as a warning."""
     for issue in corpus.validate_hierarchy(manifest):
-        where = issue.session_id or issue.subject_id
-        print(f"warning: {where}: {issue.code}: {issue.message}",
-              file=sys.stderr)
+        _warn(f"{issue.session_id or issue.subject_id}: {issue.code}: "
+              f"{issue.message}")
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +220,8 @@ def _cmd_qc(args) -> int:
     thresholds = qc.QcThresholds()
 
     def one(_, rec):
-        return rec, qc.qc_gate(_read_record_signal(base, rec), thresholds)
+        sig = _read_signal(_resolve(base, rec.audio_path), rec)
+        return rec, qc.qc_gate(sig, thresholds)
 
     results, failures = _map_sessions(
         args, one, [(rec.session_id, rec) for rec in manifest.records])
@@ -268,8 +278,8 @@ def _cmd_preprocess(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     def one(session_id, rec):
-        processed, audit = dsp.preprocess_chain(_read_record_signal(base, rec),
-                                                cfg)
+        processed, audit = dsp.preprocess_chain(
+            _read_signal(_resolve(base, rec.audio_path), rec), cfg)
         wavio.write_wav(outdir / f"{session_id}.wav",
                         processed.samples, processed.sample_rate)
         return [{"session_id": session_id, **entry} for entry in audit]
@@ -285,13 +295,19 @@ def _cmd_preprocess(args) -> int:
 # streams
 
 
-def _stream_one(session_id: str, wav_path, rttm_path, participant: str,
+def _stream_one(session_id: str, wav_path, rttm_path, rec, participant: str,
                 outdir: Path) -> list[dict]:
     for kind, path in (("wav", wav_path), ("rttm", rttm_path)):
         if not Path(path).exists():
             raise InputError(f"missing {kind} {path}")
-    sig = _read_signal(wav_path)
+    sig = _read_signal(wav_path, rec)
     tl = corpus.load_rttm(rttm_path)
+    duration = len(sig) / sig.sample_rate
+    late = tl.onsets[tl.onsets >= duration]
+    if late.size:  # a turn wholly past the audio would be dropped unseen
+        raise InputError(f"session {session_id}: {rttm_path} has a turn at "
+                         f"{late[0]:.3f} s, at or after the end of {wav_path} "
+                         f"({duration:.3f} s)")
     prosody = streams.build_prosody_preserved(sig, tl, participant)
     concat = streams.build_concatenated(sig, tl, participant)
     wavio.write_wav(outdir / f"{session_id}.prosody.wav", prosody.samples,
@@ -320,12 +336,12 @@ def _cmd_streams(args) -> int:
         pairs = [(rec.session_id,
                   (wav_dir / f"{rec.session_id}.wav" if wav_dir
                    else Path(_resolve(base, rec.audio_path)),
-                   rttm_dir / f"{rec.session_id}.rttm"))
+                   rttm_dir / f"{rec.session_id}.rttm", rec))
                  for rec in manifest.records]
         inputs = [args.manifest]
     elif args.wav and args.rttm:
         pairs = [(args.session_id or Path(args.wav).stem,
-                  (Path(args.wav), Path(args.rttm)))]
+                  (Path(args.wav), Path(args.rttm), None))]
         inputs = [args.wav, args.rttm]
     else:
         raise ConfigError("need either --manifest or both --wav and --rttm")
@@ -346,11 +362,11 @@ def _cmd_features(args) -> int:
     prosody_dir = Path(args.prosody_dir)
     concat_dir = Path(args.concat_dir)
 
-    def one(session_id, _):
+    def one(session_id, rec):
         p_path = prosody_dir / f"{session_id}.prosody.wav"
         c_path = concat_dir / f"{session_id}.concat.wav"
-        prosody = _read_signal(p_path) if p_path.exists() else None
-        concat = _read_signal(c_path) if c_path.exists() else None
+        prosody = _read_signal(p_path, rec) if p_path.exists() else None
+        concat = _read_signal(c_path, rec) if c_path.exists() else None
         if prosody is None and concat is None:
             raise InputError(f"no streams found for {session_id} under "
                              f"{prosody_dir} / {concat_dir}")
@@ -429,6 +445,9 @@ def _cmd_grid_search(args) -> int:
     adapter = diar_eval.DiarizerAdapter(command_template=args.adapter)
     workdir = args.workdir or os.environ.get("COGSPEECH_TMPDIR")
     scoring = diar_eval.ScoringConfig(collar_s=args.collar)
+    for name in diar_eval.unreferenced_parameters(schema, args.adapter):
+        _warn(f"grid parameter {name!r} is not named in the adapter "
+              f"template; its values change nothing")
     results = diar_eval.run_grid_search(schema, sessions, adapter, split,
                                         scoring=scoring, workdir=workdir,
                                         jobs=args.jobs)
@@ -469,16 +488,16 @@ def _dataset(args, *splits):
             else:
                 kept.append((rec, [feats[n] for n in names], y))
         if skipped:
-            print(f"skipping {len(skipped)} session(s) without complete "
+            _warn(f"skipping {len(skipped)} session(s) without complete "
                   f"features/labels: {', '.join(sorted(skipped)[:5])}"
-                  f"{'...' if len(skipped) > 5 else ''}", file=sys.stderr)
+                  f"{'...' if len(skipped) > 5 else ''}")
         if not kept:
             raise InputError(f"no usable sessions in split {split!r}")
         for field, what in (("task", "tasks"), ("sample_rate", "sample rates")):
             values = sorted({getattr(rec, field) for rec, _, _ in kept})
             if len(values) > 1:
-                print(f"warning: split {split!r} pools {len(values)} {what}: "
-                      f"{', '.join(map(str, values))}", file=sys.stderr)
+                _warn(f"split {split!r} pools {len(values)} {what}: "
+                      f"{', '.join(map(str, values))}")
         kept.sort(key=lambda t: t[0].session_id)
         datasets.append(model.Dataset(
             X=np.array([k[1] for k in kept]),
@@ -513,6 +532,8 @@ def _cmd_cv(args) -> int:
     _write_jsonl(outdir / "fit_log.jsonl",
                  (record.to_dict() for record in fit_log), sort_keys=True)
     code = _finish(args, outdir, [args.manifest, args.features, args.grid])
+    for note in report.warnings:
+        _warn(f"{target.name} (level {target.level}): {note}")
     metric = _METRIC[target.kind]
     s = report.summary[metric]
     print(f"{target.name} (level {target.level}): {metric} = "
@@ -593,6 +614,8 @@ def _cmd_importance(args) -> int:
                                       pca="passthrough")
     pipe = model.fit_pipeline(data.X, data.y, config)
     ranking = model.svm_feature_importance(pipe, data.feature_names)
+    if not ranking:
+        _warn("all SVM weights are zero; empty ranking")
     with _create(args.out, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["rank", "feature", "weight"])
@@ -614,16 +637,16 @@ def _cmd_report(args) -> int:
     for path, p in results:
         k = key(p)
         if k in sources:
-            print(f"warning: holdout results {sources[k]} and {path} score "
-                  f"the same target; only {path} is reported", file=sys.stderr)
+            _warn(f"holdout results {sources[k]} and {path} score the "
+                  f"same target; only {path} is reported")
         sources[k], holdouts[k] = path, p["metrics"][k[-1]]
     reports = [_read_result(path, "cv report", "summary") for path in args.cv]
     rows = [(*key(p), p["summary"][key(p)[-1]], holdouts.get(key(p)))
             for p in reports]
     for path, p in results:
         if key(p) not in map(key, reports):
-            print(f"warning: holdout result {path} pairs with no cv report "
-                  f"and is not reported", file=sys.stderr)
+            _warn(f"holdout result {path} pairs with no cv report and is "
+                  f"not reported")
     outdir = Path(args.out_dir)
     header = ("Level-Target", "Input Test", "Feature", "Metric", "DEV Set",
               "HO Set")

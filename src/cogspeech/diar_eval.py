@@ -31,7 +31,6 @@ import shlex
 import string
 import subprocess
 import tempfile
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -353,8 +352,12 @@ class DiarizerAdapter:
         except ValueError as exc:
             raise AdapterError(f"template placeholders take no format spec "
                                f"(values are shell-quoted strings): {exc}")
-        proc = subprocess.run(cmd, shell=True, capture_output=True, text=True,
-                              timeout=self.timeout_s)
+        try:
+            proc = subprocess.run(cmd, shell=True, capture_output=True,
+                                  text=True, timeout=self.timeout_s)
+        except subprocess.TimeoutExpired:
+            raise AdapterError(f"adapter timed out after {self.timeout_s:g} s "
+                               f"for {session_id}") from None
         if proc.returncode != 0:
             raise AdapterError(f"adapter exited {proc.returncode} for "
                                f"{session_id}: {proc.stderr.strip()[:500]}")
@@ -383,19 +386,18 @@ def expand_grid(schema: dict) -> list[GridPoint]:
     return points
 
 
-def _warn_unreferenced(schema: dict, template: str) -> None:
-    """Warn once per diarizer.* grid parameter the adapter template never
-    names: str.format drops it, so all its values run the same command."""
+def unreferenced_parameters(schema: dict, template: str) -> list[str]:
+    """The diarizer.* grid parameters, sorted, that an adapter command
+    template never names: str.format drops them, so all their values run
+    the same command."""
     try:
         fields = {re.split(r"[.\[]", name)[0]
                   for _, name, _, _ in string.Formatter().parse(template) if name}
     except ValueError:  # malformed template: every point's run reports it
-        return
-    for name in sorted(schema):
-        if (name.startswith(_DIARIZER_PREFIX)
-                and name[len(_DIARIZER_PREFIX):] not in fields):
-            warnings.warn(f"grid parameter {name!r} is not named in the "
-                          f"adapter template; its values change nothing")
+        return []
+    return [name for name in sorted(schema)
+            if name.startswith(_DIARIZER_PREFIX)
+            and name[len(_DIARIZER_PREFIX):] not in fields]
 
 
 def _aggregate(per_session: list[dict]) -> dict:
@@ -459,8 +461,6 @@ def run_grid_search(schema: dict, sessions, adapter: DiarizerAdapter,
     if scoring is None:
         scoring = ScoringConfig()
     points = expand_grid(schema)
-    if type(adapter).run is DiarizerAdapter.run:  # else run reads the params
-        _warn_unreferenced(schema, adapter.command_template)
     tuning = [s for s in sessions if s.subject_id in split.tuning_subjects]
     validation = [s for s in sessions if s.subject_id in split.validation_subjects]
     stray = [s.session_id for s in sessions

@@ -21,7 +21,6 @@ as the headline regression metric.
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
@@ -1044,7 +1043,8 @@ def svm_feature_importance(pipe: FittedPipeline, feature_names
                            ) -> list[tuple[str, float]]:
     """Features ranked by |weight|; positive weights point toward the
     positive (impaired) class. Needs PCA passthrough so weights align
-    with named features."""
+    with named features. All-zero weights rank nothing: the ranking is
+    empty, and the caller says so."""
     if not isinstance(pipe.model, SvmModel):
         raise ConfigError("importance ranking needs a linear SVM pipeline")
     if not pipe.pca.passthrough:
@@ -1055,7 +1055,6 @@ def svm_feature_importance(pipe: FittedPipeline, feature_names
     if len(names) != len(w):
         raise ValidationError(f"{len(names)} names for {len(w)} weights")
     if np.all(w == 0.0):
-        warnings.warn("all SVM weights are zero; empty ranking")
         return []
     order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), names[i]))
     return [(names[i], float(w[i])) for i in order]

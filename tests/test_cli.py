@@ -228,14 +228,70 @@ def test_manifest_sample_rate_checked_against_wav(small_corpus, tmp_path):
     rows[at] = rows[at].replace(",16000,", ",22050,")
     manifest = small_corpus["root"] / "rate_mismatch.csv"
     manifest.write_text("\n".join(rows) + "\n")
-    for argv, outdir in (
-            (["qc", "--out", str(tmp_path / "qc" / "qc.jsonl")], tmp_path / "qc"),
-            (["preprocess", "--outdir", str(tmp_path / "pre")], tmp_path / "pre")):
+    rttm = ["--rttm-dir", str(small_corpus["root"] / "rttm")]
+    clean = tmp_path / "clean"
+    assert main(["streams", "--manifest", str(small_corpus["manifest"]),
+                 *rttm, "--outdir", str(clean)]) == 0
+    wav = small_corpus["root"] / "audio" / f"{sids[0]}.wav"
+    # the session's audio, and each stream made from it, in the same words
+    for argv, outdir, path in (
+            (["qc", "--out", str(tmp_path / "qc" / "qc.jsonl")],
+             tmp_path / "qc", wav),
+            (["preprocess", "--outdir", str(tmp_path / "pre")],
+             tmp_path / "pre", wav),
+            (["streams", *rttm, "--outdir", str(tmp_path / "streams")],
+             tmp_path / "streams", wav),
+            (["features", "--prosody-dir", str(clean), "--concat-dir",
+              str(clean), "--out", str(tmp_path / "feat" / "features.csv")],
+             tmp_path / "feat", clean / f"{sids[0]}.prosody.wav")):
         assert main(argv + ["--manifest", str(manifest)]) == 4
         [failure] = read_failures(outdir)
         assert failure["session_id"] == sids[0]
-        assert "22050" in failure["message"] and "16000" in failure["message"]
+        assert failure["message"] == (
+            f"session {sids[0]}: manifest sample_rate 22050 Hz, but {path} "
+            f"is 16000 Hz")
     assert sorted(p.stem for p in (tmp_path / "pre").glob("*.wav")) == sids[1:]
+    assert sorted(p.name.split(".")[0]
+                  for p in (tmp_path / "streams").glob("*.prosody.wav")) \
+        == sids[1:]
+    assert sorted(read_feature_csv(tmp_path / "feat" / "features.csv")[1]) \
+        == sids[1:]
+
+
+@pytest.mark.parametrize("onset,duration,code", [
+    (58.6, 1.0, 4),   # wholly past the 20.1 s WAV
+    (20.1, 0.5, 4),   # starting at its last sample's end
+    (19.7, 1.3, 0),   # ending past it only: clipped, as before
+])
+def test_rttm_turn_past_the_audio(tmp_path, onset, duration, code):
+    two = synth.build_corpus(tmp_path / "two", n_subjects=2, seed=3)
+    sids = session_ids(two)
+    wav = two["root"] / "audio" / f"{sids[0]}.wav"
+    samples, rate = wavio.read_wav(wav)
+    assert len(samples) / rate == 20.1
+    argv = ["streams", "--manifest", str(two["manifest"]), "--rttm-dir",
+            str(two["root"] / "rttm")]
+    assert main([*argv, "--outdir", str(tmp_path / "clean")]) == 0
+    rttm = two["root"] / "rttm" / f"{sids[0]}.rttm"
+    with open(rttm, "a") as fh:
+        fh.write(f"SPEAKER {sids[0]} 1 {onset:.3f} {duration:.3f} "
+                 f"<NA> <NA> PAR <NA> <NA>\n")
+    out = tmp_path / "late"
+    assert main([*argv, "--outdir", str(out)]) == code
+    if code:
+        [failure] = read_failures(out)
+        assert failure["session_id"] == sids[0]
+        assert failure["message"] == (
+            f"session {sids[0]}: {rttm} has a turn at {onset:.3f} s, at or "
+            f"after the end of {wav} (20.100 s)")
+    # the other session's outputs are untouched
+    for name in (f"{sids[1]}.prosody.wav", f"{sids[1]}.concat.wav"):
+        assert (out / name).read_bytes() == \
+            (tmp_path / "clean" / name).read_bytes()
+    lines = (out / "transitions.jsonl").read_text().splitlines()
+    assert [l for l in lines if sids[1] in l] == [
+        l for l in (tmp_path / "clean" / "transitions.jsonl").read_text(
+            ).splitlines() if sids[1] in l]
 
 
 # ---------------------------------------------------------------------------
@@ -746,14 +802,247 @@ def test_split_spanning_tasks_or_rates_warns(corpus, feature_csv, tmp_path,
     capsys.readouterr()
     assert main([*argv, "--manifest", str(corpus["manifest"]),
                  "--out", str(tmp_path / "one" / "cv.json")]) == 0
-    assert "warning" not in capsys.readouterr().err
+    assert _warnings(capsys) == [NAN_FOLD]
     assert main([*argv, "--manifest", str(manifest),
                  "--out", str(tmp_path / "mixed" / "cv.json")]) == 0
-    warnings = [line for line in capsys.readouterr().err.splitlines()
-                if "warning" in line]
-    assert warnings == [
+    assert _warnings(capsys) == [
         "warning: split 'development' pools 2 tasks: MMSE, RW",
-        "warning: split 'development' pools 2 sample rates: 8000, 16000"]
+        "warning: split 'development' pools 2 sample rates: 8000, 16000",
+        NAN_FOLD]
+
+
+# cv on the 12-subject corpus: 9 development subjects deal outer folds of
+# 2, 2, 2, 2 and 1, and Pearson r on the one-subject fold is undefined
+NAN_FOLD = ("warning: cerad_total (level 3): outer fold 4: nan test r/r2 "
+            "on 1 test subject(s)")
+
+
+def _warnings(capsys) -> list:
+    """The stderr lines since the last read that mention a warning."""
+    return [line for line in capsys.readouterr().err.splitlines()
+            if "warning" in line.lower()]
+
+
+def _edited_manifest(corpus, dest: Path, edit) -> Path:
+    """A copy of the corpus manifest, edit(row) applied to each row, its
+    audio paths made absolute so the copy can live elsewhere."""
+    text = corpus["manifest"].read_text().splitlines()
+    reader = csv.DictReader(text[1:])
+    rows = list(reader)
+    for row in rows:
+        row["audio_path"] = str(corpus["root"] / row["audio_path"])
+        edit(row)
+    with open(dest, "w", newline="") as fh:
+        fh.write(text[0] + "\n")
+        writer = csv.DictWriter(fh, fieldnames=reader.fieldnames)
+        writer.writeheader()
+        writer.writerows(rows)
+    return dest
+
+
+def _dev_rows(corpus) -> list:
+    """The corpus manifest's development rows, in file order."""
+    text = corpus["manifest"].read_text().splitlines()
+    return [row for row in csv.DictReader(text[1:])
+            if row["split"] == "development"]
+
+
+def _mci_argv(command, table, manifest, tmp_path) -> list:
+    """importance, or cv on a one-config SVM grid, for the mci target."""
+    argv = [command, "--features", str(table), "--manifest", str(manifest),
+            "--level", "3", "--target", "mci", "--kind", "classification"]
+    if command == "importance":
+        return [*argv, "--out", str(tmp_path / "imp.csv")]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"estimator": "linear_svm", "C": 1.0}]))
+    return [*argv, "--grid", str(grid), "--out", str(tmp_path / "cv.json")]
+
+
+def _cv_notes(out: Path, name: str) -> list:
+    """cv.json's warnings as cv prints them."""
+    return [f"warning: {name} (level 3): {note}"
+            for note in json.loads(out.read_text())["warnings"]]
+
+
+def _case_hierarchy(corpus, feature_csv, cv_json, tmp_path, monkeypatch):
+    sid = _dev_rows(corpus)[0]["session_id"]
+
+    def flip(row):
+        if row["session_id"] == sid:
+            row["cerad_binary"] = str(1 - int(row["cerad_binary"]))
+
+    manifest = _edited_manifest(corpus, tmp_path / "m.csv", flip)
+    return (_mci_argv("importance", feature_csv, manifest, tmp_path),
+            [f"warning: {sid}: binary_threshold_mismatch: "])
+
+
+def _case_pooling(corpus, feature_csv, cv_json, tmp_path, monkeypatch):
+    dev = [row["session_id"] for row in _dev_rows(corpus)]
+
+    def mix(row):
+        if row["session_id"] == dev[0]:
+            row["task"] = "RW"
+        if row["session_id"] == dev[1]:
+            row["sample_rate"] = "8000"
+
+    manifest = _edited_manifest(corpus, tmp_path / "m.csv", mix)
+    return (_mci_argv("importance", feature_csv, manifest, tmp_path),
+            ["warning: split 'development' pools 2 tasks: MMSE, RW",
+             "warning: split 'development' pools 2 sample rates: 8000, 16000"])
+
+
+def _case_holdout_without_cv(corpus, feature_csv, cv_json, tmp_path,
+                             monkeypatch):
+    files = [tmp_path / "ho_cerad.json", tmp_path / "ho_mmse.json"]
+    files[0].write_text(json.dumps(_holdout_result()))
+    files[1].write_text(json.dumps(_holdout_result(
+        target=_target(name="mmse"))))
+    return (["report", "--cv", str(cv_json), "--holdout", *map(str, files),
+             "--out-dir", str(tmp_path / "report")],
+            [f"warning: holdout result {files[1]} pairs with no cv report "
+             f"and is not reported"])
+
+
+def _case_holdout_twice(corpus, feature_csv, cv_json, tmp_path, monkeypatch):
+    files = [tmp_path / "ho_a.json", tmp_path / "ho_b.json"]
+    for f in files:
+        f.write_text(json.dumps(_holdout_result()))
+    return (["report", "--cv", str(cv_json), "--holdout", *map(str, files),
+             "--out-dir", str(tmp_path / "report")],
+            [f"warning: holdout results {files[0]} and {files[1]} score the "
+             f"same target; only {files[1]} is reported"])
+
+
+def _case_skipped_sessions(corpus, feature_csv, cv_json, tmp_path,
+                           monkeypatch):
+    sid = _dev_rows(corpus)[0]["session_id"]
+    table = tmp_path / "features.csv"
+    table.write_text("".join(line for line in feature_csv.read_text(
+        ).splitlines(keepends=True) if not line.startswith(sid + ",")))
+    return (_mci_argv("importance", table, corpus["manifest"], tmp_path),
+            [f"warning: skipping 1 session(s) without complete "
+             f"features/labels: {sid}"])
+
+
+def _case_nan_fold(corpus, feature_csv, cv_json, tmp_path, monkeypatch):
+    return (["cv", "--features", str(feature_csv), "--manifest",
+             str(corpus["manifest"]), "--level", "3", "--target",
+             "cerad_total", "--kind", "regression",
+             "--out", str(tmp_path / "cv.json")],
+            [NAN_FOLD])
+
+
+def _case_unconverged_svm(corpus, feature_csv, cv_json, tmp_path,
+                          monkeypatch):
+    import cogspeech.model as model_mod
+    real_fit = model_mod.svm_fit
+    monkeypatch.setattr(
+        model_mod, "svm_fit",
+        lambda X, y, C, class_weighting="balanced", **kwargs: real_fit(
+            X, y, C, class_weighting, max_iter=3, **kwargs))
+
+    def expected():  # every fit stops at max_iter: 5 x 3 inner, 5 refits
+        notes = _cv_notes(tmp_path / "cv.json", "mci")
+        assert len(notes) == 20 and all(
+            "SVM did not converge after 3 iterations" in n for n in notes)
+        return notes
+
+    return (_mci_argv("cv", feature_csv, corpus["manifest"], tmp_path),
+            expected)
+
+
+def _case_skipped_inner_fold(corpus, feature_csv, cv_json, tmp_path,
+                             monkeypatch):
+    # one of the three MCI development subjects relabelled healthy leaves
+    # two: an outer fold that tests one of them trains on the other alone,
+    # and the inner fold that holds that one out trains on one class
+    relabelled = next(row["session_id"] for row in _dev_rows(corpus)
+                      if row["mci"] == "1")
+
+    def heal(row):
+        if row["session_id"] == relabelled:
+            row["group"], row["mci"] = "HC", "0"
+
+    manifest = _edited_manifest(corpus, tmp_path / "m.csv", heal)
+
+    def expected():
+        notes = _cv_notes(tmp_path / "cv.json", "mci")
+        assert notes and all(" inner " in n and " skipped: " in n
+                             for n in notes)
+        return notes
+
+    return _mci_argv("cv", feature_csv, manifest, tmp_path), expected
+
+
+def _case_unreferenced_parameter(corpus, feature_csv, cv_json, tmp_path,
+                                 monkeypatch):
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"gate_alpha": [0.3], "diarizer.pad": [0, 1]}))
+    rttm_dir = corpus["root"] / "rttm"
+    tuning, validation = subject_split(corpus)
+    return (["grid-search", "--grid", str(grid), "--manifest",
+             str(corpus["manifest"]), "--rttm-dir", str(rttm_dir),
+             "--adapter", f"cp {rttm_dir}/{{session_id}}.rttm {{output}}",
+             "--tuning-subjects", tuning, "--validation-subjects", validation,
+             "--workdir", str(tmp_path / "work"),
+             "--out", str(tmp_path / "grid.csv")],
+            ["warning: grid parameter 'diarizer.pad' is not named in the "
+             "adapter template; its values change nothing"])
+
+
+def _case_zero_svm_weights(corpus, feature_csv, cv_json, tmp_path,
+                           monkeypatch):
+    # constant columns scale to zero, so every SVM weight is exactly zero
+    table = tmp_path / "features.csv"
+    table.write_text("session_id,a,b\n" + "".join(
+        f"{t['session_id']},1.0,2.0\n" for t in corpus["truth"].values()))
+    return (_mci_argv("importance", table, corpus["manifest"], tmp_path),
+            ["warning: all SVM weights are zero; empty ranking"])
+
+
+WARNING_CASES = {
+    "hierarchy_issue": _case_hierarchy,
+    "split_pooling": _case_pooling,
+    "holdout_without_cv_report": _case_holdout_without_cv,
+    "two_holdouts_one_target": _case_holdout_twice,
+    "skipped_sessions": _case_skipped_sessions,
+    "nan_outer_fold": _case_nan_fold,
+    "unconverged_svm": _case_unconverged_svm,
+    "skipped_inner_fold": _case_skipped_inner_fold,
+    "unreferenced_grid_parameter": _case_unreferenced_parameter,
+    "zero_svm_weights": _case_zero_svm_weights,
+}
+
+
+@pytest.mark.parametrize("case", WARNING_CASES)
+def test_each_warning_prints_one_line(case, corpus, feature_csv, cv_json,
+                                      tmp_path, capsys, monkeypatch):
+    # each warning reaches stderr once, as "warning: <message>", and the
+    # run still exits 0. A case gives the lines it expects as prefixes, or
+    # for cv's notes a function that reads them from the report it wrote
+    argv, expected = WARNING_CASES[case](corpus, feature_csv, cv_json,
+                                         tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 0
+    lines = _warnings(capsys)
+    if callable(expected):
+        expected = expected()
+    assert len(lines) == len(expected), lines
+    assert all(line.startswith(want) for line, want in zip(lines, expected)), \
+        lines
+
+
+def test_cv_warnings_do_not_follow_jobs(corpus, feature_csv, tmp_path,
+                                       capsys, monkeypatch):
+    # 20 notes, one per fit, from inner splits cut into one or two chunks
+    argv, _ = _case_unconverged_svm(corpus, feature_csv, None, tmp_path,
+                                    monkeypatch)
+    printed = []
+    for jobs in ("1", "2"):
+        capsys.readouterr()
+        assert main([*argv, "--jobs", jobs]) == 0
+        printed.append(_warnings(capsys))
+    assert len(printed[0]) == 20 and printed[0] == printed[1]
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +1083,8 @@ def test_both_arms_run_every_modelling_stage(corpus, feature_csv, tmp_path,
     outdir = tmp_path / "report"
     assert main(["report", "--cv", *cvs, "--holdout", *holdouts,
                  "--out-dir", str(outdir)]) == 0
-    assert "warning" not in capsys.readouterr().err
+    # both arms deal the same one-subject outer fold, and say so once each
+    assert _warnings(capsys) == [NAN_FOLD] * 2
     with open(outdir / "hierarchy_table.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
     assert [(r[0], r[2]) for r in rows] == [("L3-cerad_total", "EG_ALL"),

@@ -16,7 +16,7 @@ from cogspeech.corpus import Segment, Timeline, load_rttm, serialize_rttm
 from cogspeech.diar_eval import (
     DiarizerAdapter, GridPoint, GridSplit, GridSession, ScoringConfig,
     der, expand_grid, jer, optimal_speaker_mapping, purity_coverage,
-    run_grid_search, score_pair, write_grid_csv,
+    run_grid_search, score_pair, unreferenced_parameters, write_grid_csv,
 )
 from cogspeech.dsp import Signal
 from cogspeech.errors import AdapterError, ConfigError, ValidationError
@@ -516,18 +516,21 @@ def test_grid_failed_points_marked_and_ranked_last(tiny_grid_corpus, tmp_path):
 
 def test_grid_warns_once_per_parameter_the_template_never_names(
         tiny_grid_corpus, tmp_path):
+    # the library returns the names; grid-search prints one warning each
     root = tiny_grid_corpus["root"]
-    adapter = DiarizerAdapter(
-        "cp " + str(root) + "/{session_id}.rttm {output} # {used}")
-    with pytest.warns(UserWarning) as caught:
-        results = run_grid_search(
-            {"diarizer.used": [1], "diarizer.pad": [0, 1],
-             "diarizer.tag": ["a", "b"]},
-            tiny_grid_corpus["sessions"], adapter, tiny_grid_corpus["split"],
-            workdir=tmp_path)
-    messages = sorted(str(w.message) for w in caught)
-    assert len(messages) == 2
-    assert "'diarizer.pad'" in messages[0] and "'diarizer.tag'" in messages[1]
+    template = "cp " + str(root) + "/{session_id}.rttm {output} # {used}"
+    schema = {"diarizer.used": [1], "diarizer.pad": [0, 1],
+              "diarizer.tag": ["a", "b"], "gate_alpha": [0.3]}
+    assert unreferenced_parameters(schema, template) == ["diarizer.pad",
+                                                         "diarizer.tag"]
+    assert unreferenced_parameters(schema, "{pad} {tag}") == [
+        "diarizer.used"]
+    assert unreferenced_parameters(schema, "cp {input") == []  # malformed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = run_grid_search(schema, tiny_grid_corpus["sessions"],
+                                  DiarizerAdapter(template),
+                                  tiny_grid_corpus["split"], workdir=tmp_path)
     assert len(results) == 4 and all(r.status == "ok" for r in results)
 
 
@@ -544,6 +547,8 @@ class _ReferenceAdapter(DiarizerAdapter):
 
 
 def test_grid_warns_only_for_the_template_adapter(tiny_grid_corpus, tmp_path):
+    # an adapter that reads its parameters in run is searched without a
+    # word; only a command template can leave a parameter unread
     sessions = tiny_grid_corpus["sessions"]
     adapter = _ReferenceAdapter(
         "stored", references=tuple((s.session_id, s.reference) for s in sessions))
@@ -556,10 +561,29 @@ def test_grid_warns_only_for_the_template_adapter(tiny_grid_corpus, tmp_path):
     assert [str(w.message) for w in caught] == []
     assert [r.tuning["der"] > 0 for r in results] == [False, True]
     root = tiny_grid_corpus["root"]
-    plain = DiarizerAdapter("cp " + str(root) + "/{session_id}.rttm {output}")
-    with pytest.warns(UserWarning, match="'diarizer.variant'"):
-        run_grid_search(schema, sessions, plain, tiny_grid_corpus["split"],
-                        workdir=tmp_path / "base")
+    plain = "cp " + str(root) + "/{session_id}.rttm {output}"
+    assert unreferenced_parameters(schema, plain) == ["diarizer.variant"]
+
+
+def test_adapter_timeout_is_an_adapter_error(tmp_path):
+    # dash runs a one-command template as that command: one child process
+    adapter = DiarizerAdapter("sleep 5 # {input} {output}", timeout_s=0.2)
+    with pytest.raises(AdapterError, match=r"timed out after 0\.2 s for s1$"):
+        adapter.run(str(tmp_path / "in.wav"), str(tmp_path / "out.rttm"),
+                    "s1", {})
+
+
+def test_grid_validation_timeout_is_an_adapter_error(tiny_grid_corpus,
+                                                     tmp_path):
+    # the tuning session is copied; the validation session, scored outside
+    # the per-point guard, outlives the timeout
+    root = tiny_grid_corpus["root"]
+    adapter = DiarizerAdapter(
+        "case {session_id} in v*) exec sleep 5;; esac; cp " + str(root) +
+        "/{session_id}.rttm {output}", timeout_s=0.2)
+    with pytest.raises(AdapterError, match="timed out after 0.2 s for v1_PF"):
+        run_grid_search({"gate_alpha": [0.3]}, tiny_grid_corpus["sessions"],
+                        adapter, tiny_grid_corpus["split"], workdir=tmp_path)
 
 
 def test_grid_all_failed_raises(tiny_grid_corpus, tmp_path):
